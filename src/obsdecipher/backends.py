@@ -16,10 +16,11 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import requests
 
+from ._io import atomic_write_text
 from .errors import BackendUnavailableError
 
 CHAT_URL_ENV = "OBS_CHAT_URL"
@@ -213,9 +214,9 @@ class OfflineChatBackend(ChatBackend):
     pipeline run offline and reproducibly.
     """
 
-    def __init__(self, name: str = "offline-mock", supports_images: bool = True):
+    def __init__(self, name: str = "offline-mock"):
         self.name = name
-        self.supports_images = supports_images
+        self.supports_images = True
         self.requests: list[ChatRequest] = []
 
     def _hash(self, text: str) -> int:
@@ -270,13 +271,12 @@ class ReplayChatBackend(ChatBackend):
         inner: ChatBackend | None = None,
         record: bool = False,
         name: str | None = None,
-        supports_images: bool = True,
     ):
         self._path = Path(path)
         self._inner = inner
         self._record = record
         self.name = name or (inner.name if inner else "replay")
-        self.supports_images = supports_images if inner is None else inner.supports_images
+        self.supports_images = inner.supports_images if inner else True
         self._lock = threading.Lock()
         if self._path.exists():
             self._fixtures: dict = json.loads(self._path.read_text(encoding="utf-8"))
@@ -296,15 +296,15 @@ class ReplayChatBackend(ChatBackend):
                     "content": resp.content,
                     "usage": resp.usage.to_json(),
                 }
-                self._path.write_text(
+                atomic_write_text(
+                    self._path,
                     json.dumps(self._fixtures, ensure_ascii=False, indent=2, sort_keys=True),
-                    encoding="utf-8",
                 )
             return resp
         raise BackendUnavailableError(f"no recorded response for prompt hash {key[:12]}")
 
 
-def backend_from_env(role: str | None = None, supports_images: bool = True) -> ChatBackend | None:
+def backend_from_env(role: str | None = None) -> ChatBackend | None:
     """Build an HTTP backend from the environment, or None if unconfigured.
 
     ``role`` may be ``retriever`` or ``reasoner`` to honour the per-agent
@@ -322,5 +322,4 @@ def backend_from_env(role: str | None = None, supports_images: bool = True) -> C
     return HttpChatBackend(
         url,
         api_key=os.environ.get(CHAT_KEY_ENV) or None,
-        supports_images=supports_images,
     )

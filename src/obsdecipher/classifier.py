@@ -26,7 +26,6 @@ from .errors import (
     EmptyTrainingSetError,
     IoFailureError,
     ProviderMismatchError,
-    ZeroNormError,
 )
 
 _MAGIC = b"OBSPROTO\x00\x01"  # versioned model-file magic
@@ -57,8 +56,8 @@ class RankedPrediction:
 class ClassifierModel:
     """Immutable label -> prototype map with a dense matrix for scoring.
 
-    ``normalized`` records whether support embeddings were L2-normalized
-    before averaging; queries are normalized the same way at classify time.
+    Queries are scored as given: nothing normalizes them, whether or not
+    the support embeddings were normalized when the prototypes were built.
     """
 
     def __init__(
@@ -66,7 +65,6 @@ class ClassifierModel:
         prototypes: Iterable[Prototype],
         dim: int,
         provider_name: str = "",
-        normalized: bool = False,
     ):
         protos = sorted(prototypes, key=lambda p: p.label)
         if len({p.label for p in protos}) != len(protos):
@@ -81,7 +79,6 @@ class ClassifierModel:
         self.prototypes: dict[str, Prototype] = {p.label: p for p in protos}
         self.dim = dim
         self.provider_name = provider_name
-        self.normalized = normalized
         self._labels = [p.label for p in protos]
         self._matrix = (
             np.stack([p.mean.values for p in protos])
@@ -100,8 +97,10 @@ def build_prototypes(
 ) -> ClassifierModel:
     """Average each class's support embeddings into its prototype.
 
-    ``normalize`` L2-normalizes every embedding before averaging (exposed
-    because published results do not state the choice; off by default).
+    ``normalize`` L2-normalizes every support embedding before averaging
+    (exposed because published results do not state the choice; off by
+    default). It touches only the support vectors: the model does not
+    record it, and ``classify_topk`` never normalizes a query.
     """
     groups: dict[str, list[np.ndarray]] = {}
     dim: int | None = None
@@ -208,7 +207,7 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
         chunks.append(struct.pack("<I", proto.support_count))
         chunks.append(proto.mean.values.astype("<f8").tobytes())
     try:
-        Path(path).write_bytes(b"".join(chunks))
+        atomic_write_bytes(path, b"".join(chunks))
     except OSError as exc:
         raise IoFailureError(f"cannot write model file: {exc}") from exc
 

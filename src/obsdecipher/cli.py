@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import functools
 import json
-import sys
 from pathlib import Path
 
 import click
 
 from . import agreement as agreement_mod
 from . import dataset, kg
+from ._io import atomic_write_text
 from .backends import OfflineChatBackend, backend_from_env
 from .classifier import (
     build_prototypes,
@@ -23,21 +23,19 @@ from .classifier import (
     evaluate_topk,
     load_model,
     save_model,
-    variant_search,
 )
 from .dataset import ComponentRecord, Corpus, read_manifest, write_manifest
 from .embedding import EmbeddingProvider, provider_from_env
-from .errors import ObsError
+from .errors import MalformedInputError, ObsError
 from .inference import InterpretationResult
 from .pipeline import (
     PipelineBackends,
     PipelineConfig,
-    atomic_write_text,
     interpret_character,
     run_pipeline,
 )
 from .report import EvalConfig, evaluate_run
-from .retrieval import RetrievalConfig, SemanticCache
+from .retrieval import SemanticCache
 
 
 def _emit(doc: dict) -> None:
@@ -46,6 +44,24 @@ def _emit(doc: dict) -> None:
 
 def _write_json(path: str | Path, doc: dict) -> None:
     atomic_write_text(path, json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
+
+
+def _read_json_object(path: str | Path) -> dict:
+    """Parse a UTF-8 JSON file whose root must be an object."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
+    return dataset.parse_json_object(raw, str(path))
+
+
+def _configured(backend):
+    """``backend`` itself, or exit code 1 when no backend is configured."""
+    if backend is None:
+        raise click.ClickException(
+            "backend not configured: set OBS_CHAT_URL or pass --mock"
+        )
+    return backend
 
 
 def domain_errors(fn):
@@ -95,9 +111,7 @@ def main():
 def ingest(annotations, vocab, out, metadata):
     """Parse polygon annotations into a corpus manifest."""
     vocabulary = dataset.load_vocabulary(vocab)
-    meta = None
-    if metadata:
-        meta = json.loads(Path(metadata).read_text(encoding="utf-8"))
+    meta = _read_json_object(metadata) if metadata else None
     corpus = dataset.ingest_directory(annotations, vocabulary, meta)
     write_manifest(corpus, out)
     _emit({"schema_version": 1, "manifest": str(out), **dataset.corpus_stats(corpus)})
@@ -225,9 +239,7 @@ def eval_topk_cmd(model_path, manifest, ks, out, image_root):
 def build_kg(manifest, explanations, out, source_split):
     """Build the knowledge graph from a (train) corpus manifest."""
     corpus = read_manifest(manifest)
-    expl = {}
-    if explanations:
-        expl = json.loads(Path(explanations).read_text(encoding="utf-8"))
+    expl = _read_json_object(explanations) if explanations else {}
     graph = kg.build_graph(corpus, expl, source_split=source_split or str(manifest))
     kg.save_graph(graph, out)
     _emit(
@@ -272,11 +284,7 @@ def query(graph_path, tool, argument):
 @domain_errors
 def interpret(graph_path, model_path, image, mode, lang, k, out, dump_evidence, mock, character_ref):
     """Interpret a single character image end to end."""
-    backends = PipelineBackends.offline() if mock else PipelineBackends.from_env()
-    if backends is None:
-        raise click.ClickException(
-            "backend not configured: set OBS_CHAT_URL or pass --mock"
-        )
+    backends = _configured(PipelineBackends.offline() if mock else PipelineBackends.from_env())
     provider = provider_from_env()
     model = load_model(model_path, expected_provider=provider.name)
     graph = kg.load_graph(graph_path)
@@ -285,11 +293,7 @@ def interpret(graph_path, model_path, image, mode, lang, k, out, dump_evidence, 
         character_id=character_ref or Path(image).stem,
         image_ref=str(image),
     )
-    cache = SemanticCache(
-        provider,
-        threshold=config.retrieval.cache_threshold,
-        capacity=config.retrieval.cache_capacity,
-    )
+    cache = SemanticCache.from_config(provider, config.retrieval)
     result, evidence = interpret_character(
         record, None, provider, model, graph, cache, backends, config
     )
@@ -320,11 +324,7 @@ def evaluate(results_dir, gold, metrics, lang, out, mock):
     corpus = read_manifest(gold)
     judge_backend = None
     if "judge" in metric_list:
-        judge_backend = OfflineChatBackend() if mock else backend_from_env()
-        if judge_backend is None:
-            raise click.ClickException(
-                "backend not configured: set OBS_CHAT_URL or pass --mock"
-            )
+        judge_backend = _configured(OfflineChatBackend() if mock else backend_from_env())
     provider = provider_from_env()
     report = evaluate_run(
         results,
@@ -371,11 +371,7 @@ def agreement(ratings, stat, level):
 def run(manifest, out_dir, graph_path, model_path, explanations, mode, lang,
         image_root, concurrency, mock):
     """Run the full pipeline over every character in a manifest."""
-    backends = PipelineBackends.offline() if mock else PipelineBackends.from_env()
-    if backends is None:
-        raise click.ClickException(
-            "backend not configured: set OBS_CHAT_URL or pass --mock"
-        )
+    backends = _configured(PipelineBackends.offline() if mock else PipelineBackends.from_env())
     provider = provider_from_env()
     corpus = read_manifest(manifest)
     root = Path(image_root) if image_root else None
@@ -389,9 +385,7 @@ def run(manifest, out_dir, graph_path, model_path, explanations, mode, lang,
     if graph_path:
         graph = kg.load_graph(graph_path)
     else:
-        expl = {}
-        if explanations:
-            expl = json.loads(Path(explanations).read_text(encoding="utf-8"))
+        expl = _read_json_object(explanations) if explanations else {}
         graph = kg.build_graph(corpus, expl, source_split=str(manifest))
 
     config = PipelineConfig(mode=mode, language=lang, concurrency=concurrency, mock=mock)

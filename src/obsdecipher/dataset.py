@@ -11,9 +11,9 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ._io import atomic_write_text
 from .errors import (
@@ -91,6 +91,17 @@ class Corpus:
     vocabulary: frozenset[str] = field(default_factory=frozenset)
 
 
+def parse_json_object(raw: bytes, what: str) -> dict:
+    """Decode UTF-8 JSON whose root is an object, else MalformedInputError."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedInputError(f"{what} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"{what} root must be a JSON object")
+    return doc
+
+
 def parse_annotation(raw: bytes) -> AnnotationFile:
     """Parse one LabelMe-style JSON annotation into a validated AnnotationFile.
 
@@ -98,17 +109,7 @@ def parse_annotation(raw: bytes) -> AnnotationFile:
     SchemaViolationError when a required field is missing or a shape is
     invalid (fewer than 3 points, point out of image bounds).
     """
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedInputError(f"annotation is not UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"annotation is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedInputError("annotation root must be a JSON object")
-
+    doc = parse_json_object(raw, "annotation")
     for key in ("imagePath", "imageWidth", "imageHeight", "shapes"):
         if key not in doc:
             raise SchemaViolationError(f"missing required field {key!r}")

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import base64
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .backends import ChatBackend, ChatMessage, ChatRequest, TokenUsage
 from .classifier import RankedPrediction

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from ._io import atomic_write_text
 from .dataset import Corpus
 from .errors import (
     CorruptFileError,
@@ -54,12 +55,6 @@ class Node:
     def __post_init__(self):
         # canonical attribute order so persistence round-trips compare equal
         object.__setattr__(self, "attributes", tuple(sorted(self.attributes)))
-
-    def attr(self, key: str) -> str | None:
-        for k, v in self.attributes:
-            if k == key:
-                return v
-        return None
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,12 @@ class KnowledgeGraph:
         self._chars_by_label: dict[str, list[str]] = {}
         self._variants: dict[str, list[str]] = {}
         self._modern: dict[str, str] = {}
+        # each character's ordered component labels, for co-component lookups
+        self._labels_of: dict[str, list[str]] = {
+            node.label: dict(node.attributes).get("component_labels", "").split("\x1f")
+            for node in self.nodes.values()
+            if node.kind is NodeKind.CHARACTER
+        }
         for edge in self.edges:
             if edge.relation is Relation.CONTAINS:
                 label = self.nodes[edge.dst].label
@@ -156,8 +157,7 @@ class KnowledgeGraph:
         rows = []
         for character_id in self._chars_by_label.get(label, ()):
             node = self.nodes[character_node_id(character_id)]
-            labels = (node.attr("component_labels") or "").split("\x1f")
-            co = [l for l in labels if l and l != label]
+            co = [l for l in self._labels_of[character_id] if l and l != label]
             rows.append(
                 {
                     "character_id": character_id,
@@ -320,7 +320,7 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     lines.append(json.dumps({"t": "checksum", "sha256": digest}, sort_keys=True))
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        atomic_write_text(path, "\n".join(lines) + "\n")
     except OSError as exc:
         raise IoFailureError(f"cannot write graph file: {exc}") from exc
 

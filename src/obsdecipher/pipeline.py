@@ -1,10 +1,17 @@
 """End-to-end orchestration: classify, retrieve, infer, interpret, persist.
 
-Characters are processed independently under a bounded worker pool;
-per-character failures are recorded and never abort the run. The emitted
-run manifest fingerprints every input (model, graph, templates, backends,
-config) so reported numbers stay attributable and reruns are comparable by
-hash.
+Characters are processed independently, on the calling thread at
+concurrency 1 and under a bounded worker pool above that; per-character
+failures are recorded and never abort the run. The emitted run manifest
+fingerprints every input (model, graph, templates, backends, config) so
+reported numbers stay attributable and reruns are comparable by hash.
+
+Above concurrency 1 the workers share one semantic cache, so parts of an
+evidence file depend on thread timing: whether an item came from the graph
+or the cache (its ``source``, Tool or Cache), which tool calls enter the
+``trace``, and, for a character reached through two components, which
+``co_components`` list is kept. Result files and the manifest hash do not;
+the tests compare them across concurrency levels.
 """
 
 from __future__ import annotations
@@ -12,12 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ._io import atomic_write_text
-from .backends import ChatBackend, OfflineChatBackend, TokenUsage, backend_from_env
+from .backends import ChatBackend, OfflineChatBackend, backend_from_env
 from .classifier import ClassifierModel, classify_topk
 from .dataset import CharacterRecord, Corpus
 from .embedding import EmbeddingProvider, embed_image
@@ -50,27 +57,6 @@ class PipelineConfig:
             raise ConfigError("concurrency must be >= 1")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-
-    @classmethod
-    def from_mapping(cls, doc: Mapping) -> "PipelineConfig":
-        known = {"mode", "language", "top_k", "concurrency", "retrieval", "mock"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "retrieval" in kwargs:
-            kwargs["retrieval"] = RetrievalConfig.from_mapping(kwargs["retrieval"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load config {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_mapping(doc)
 
 
 @dataclass(frozen=True)
@@ -185,62 +171,47 @@ def run_pipeline(
         targets = [c.character_id for c in corpus.characters]
     else:
         targets = list(characters)
-    cache = SemanticCache(
-        provider,
-        threshold=config.retrieval.cache_threshold,
-        capacity=config.retrieval.cache_capacity,
-    )
+    cache = SemanticCache.from_config(provider, config.retrieval)
     root = Path(image_root) if image_root is not None else None
 
-    def work(character_id: str):
-        record = chars_by_id.get(character_id)
-        if record is None:
-            raise ObsError(f"character {character_id!r} not in corpus")
-        return interpret_character(
-            record, root, provider, model, graph, cache, backends, config
-        )
+    def attempt(character_id: str):
+        """(id, (result, bundle), None) on success, (id, None, error) on failure."""
+        try:
+            record = chars_by_id.get(character_id)
+            if record is None:
+                raise ObsError(f"character {character_id!r} not in corpus")
+            pair = interpret_character(
+                record, root, provider, model, graph, cache, backends, config
+            )
+            return character_id, pair, None
+        except (ObsError, OSError) as exc:
+            return character_id, None, f"{type(exc).__name__}: {exc}"
 
-    outcomes: list[tuple[str, tuple | None, str | None]] = []
+    # concurrency 1 stays on the calling thread: sending it through a
+    # 1-thread pool raised peak RSS by about 10% on a 1,000-label run
     if config.concurrency == 1:
-        for cid in targets:
-            try:
-                outcomes.append((cid, work(cid), None))
-            except (ObsError, OSError) as exc:
-                outcomes.append((cid, None, f"{type(exc).__name__}: {exc}"))
+        outcomes = list(map(attempt, targets))
     else:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            futures = [(cid, pool.submit(work, cid)) for cid in targets]
-            for cid, future in futures:
-                try:
-                    outcomes.append((cid, future.result(), None))
-                except (ObsError, OSError) as exc:
-                    outcomes.append((cid, None, f"{type(exc).__name__}: {exc}"))
+            outcomes = list(pool.map(attempt, targets))
 
     results = [pair[0] for _, pair, _ in outcomes if pair is not None]
     bundles = [pair[1] for _, pair, _ in outcomes if pair is not None]
     failures = [RunFailure(cid, err) for cid, _, err in outcomes if err is not None]
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        evidence_dir = out / "evidence"
-        evidence_dir.mkdir(parents=True, exist_ok=True)
-        for result, bundle in zip(results, bundles):
-            atomic_write_text(
-                out / f"{result.character_ref}.json",
-                json.dumps(result.to_json(), ensure_ascii=False, indent=2, sort_keys=True),
-            )
-            atomic_write_text(
-                evidence_dir / f"{result.character_ref}.json",
-                json.dumps(bundle.to_json(), ensure_ascii=False, indent=2, sort_keys=True),
-            )
-
     manifest = _run_manifest(results, failures, model, graph, backends, config)
     if out_dir is not None:
-        atomic_write_text(
-            Path(out_dir) / "run_manifest.json",
-            json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True),
-        )
+        out = Path(out_dir)
+        (out / "evidence").mkdir(parents=True, exist_ok=True)
+        for result, bundle in zip(results, bundles):
+            _write_json(out / f"{result.character_ref}.json", result.to_json())
+            _write_json(out / "evidence" / f"{result.character_ref}.json", bundle.to_json())
+        _write_json(out / "run_manifest.json", manifest)
     return results, failures, manifest
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    atomic_write_text(path, json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
 
 
 def _sha256_text(text: str) -> str:
@@ -285,13 +256,7 @@ def _run_manifest(
         "mode": config.mode,
         "language": config.language,
         "mock": config.mock,
-        "retrieval": {
-            "top_m": config.retrieval.top_m,
-            "min_evidence": config.retrieval.min_evidence,
-            "max_items": config.retrieval.max_items,
-            "cache_threshold": config.retrieval.cache_threshold,
-            "cache_capacity": config.retrieval.cache_capacity,
-        },
+        "retrieval": asdict(config.retrieval),
         "model_hash": model_fingerprint,
         "graph_hash": graph_fingerprint,
         "backend_names": sorted({backends.chat.name, backends.retriever.name, backends.reasoner.name}),

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .backends import ChatBackend
@@ -122,9 +121,3 @@ def evaluate_run(
     if judge_backend is not None:
         metadata["judge_backend"] = judge_backend.name
     return MetricReport(metadata=metadata, per_item=tuple(per_item), aggregate=aggregate)
-
-
-def report_to_file(report: MetricReport, path) -> None:
-    from .pipeline import atomic_write_text  # local import avoids a cycle
-
-    atomic_write_text(path, json.dumps(report.to_json(), ensure_ascii=False, indent=2, sort_keys=True))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -187,9 +187,12 @@ class SemanticCache:
         self.threshold = threshold
         self.capacity = capacity
         self._entries: "OrderedDict[str, tuple[EmbeddingVector, tuple[EvidenceItem, ...]]]" = OrderedDict()
-        self._clock = 0
-        self._last_used: dict[str, int] = {}
         self._lock = threading.Lock()
+
+    @classmethod
+    def from_config(cls, provider: EmbeddingProvider, config: RetrievalConfig) -> "SemanticCache":
+        """The cache a run configured by ``config`` shares across characters."""
+        return cls(provider, threshold=config.cache_threshold, capacity=config.cache_capacity)
 
     def __len__(self) -> int:
         with self._lock:
@@ -210,8 +213,6 @@ class SemanticCache:
             if best_key is None or best_sim < self.threshold:
                 return None
             self._entries.move_to_end(best_key)
-            self._clock += 1
-            self._last_used[best_key] = self._clock
             return self._entries[best_key][1]
 
     def insert(self, query_text: str, result: Sequence[EvidenceItem]) -> None:
@@ -222,11 +223,8 @@ class SemanticCache:
             if query_text in self._entries:
                 self._entries.move_to_end(query_text)
             self._entries[query_text] = (vec, tuple(result))
-            self._clock += 1
-            self._last_used[query_text] = self._clock
             while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
-                self._last_used.pop(evicted, None)
+                self._entries.popitem(last=False)
 
     def keys(self) -> tuple[str, ...]:
         with self._lock:

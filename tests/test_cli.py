@@ -1,11 +1,14 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import obsdecipher.cli as cli_mod
 from obsdecipher.cli import main
 from obsdecipher.dataset import read_manifest
+from obsdecipher.embedding import StubEmbeddingProvider
 
 from conftest import make_run_fixture, write_annotation
 
@@ -121,6 +124,42 @@ class TestUsageErrors:
     def test_unknown_command_exits_2(self, runner):
         result = runner.invoke(main, ["decipher-everything"])
         assert result.exit_code == 2
+
+
+MALFORMED_JSON = {
+    "truncated": b'{"hand": "a hand",',
+    "not_an_object": b'["hand", "roof"]',
+    "not_utf8": b'{"hand": "\xff\xfe"}',
+}
+
+
+def _json_input_command(command, tmp_path, bad_file):
+    """Arguments for each command that reads a JSON object file."""
+    if command == "ingest":
+        ann_dir = tmp_path / "ann"
+        ann_dir.mkdir()
+        write_annotation(ann_dir / "char0.json", image_path="char0.png")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("hand\n", encoding="utf-8")
+        return ["ingest", "--annotations", str(ann_dir), "--vocab", str(vocab),
+                "--out", str(tmp_path / "out.ldjson"), "--metadata", str(bad_file)]
+    _, manifest, _ = make_run_fixture(tmp_path, n_characters=2)
+    if command == "build-kg":
+        return ["build-kg", "--manifest", str(manifest), "--explanations", str(bad_file),
+                "--out", str(tmp_path / "graph.ldjson")]
+    return ["run", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+            "--explanations", str(bad_file), "--mock", "--image-root", str(tmp_path)]
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_JSON))
+@pytest.mark.parametrize("command", ["ingest", "build-kg", "run"])
+def test_malformed_json_input_is_domain_error(runner, tmp_path, command, kind):
+    bad_file = tmp_path / "input.json"
+    bad_file.write_bytes(MALFORMED_JSON[kind])
+    result = runner.invoke(main, _json_input_command(command, tmp_path, bad_file))
+    assert result.exit_code == 1
+    assert "MalformedInputError" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 class TestModelCommands:
@@ -286,20 +325,27 @@ class TestRunCommand:
             hashes.append(doc["manifest_hash"])
         assert hashes[0] == hashes[1]
 
-    def test_missing_image_is_isolated(self, runner, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_missing_image_is_isolated(self, runner, tmp_path, workers):
         corpus, manifest, explanations = make_run_fixture(tmp_path, n_characters=5)
-        (tmp_path / corpus.characters[2].image_ref).unlink()
+        missing = tmp_path / corpus.characters[2].image_ref
+        missing.unlink()
         out_dir = tmp_path / "out"
         result = invoke(
             runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
             "--explanations", str(explanations), "--mock", "--image-root", str(tmp_path),
+            "--concurrency", workers,
         )
         assert result.exit_code == 0
         assert "warning" in result.output
         doc = json.loads((out_dir / "run_manifest.json").read_text(encoding="utf-8"))
         assert doc["result_count"] == 4
         assert doc["failure_count"] == 1
-        assert doc["failures"][0]["character_id"] == corpus.characters[2].character_id
+        # the serial and the pooled run report the same failure, word for word
+        assert doc["failures"] == [{
+            "character_id": corpus.characters[2].character_id,
+            "error": f"FileNotFoundError: [Errno 2] No such file or directory: {str(missing)!r}",
+        }]
 
     def test_run_requires_backend_or_mock(self, runner, tmp_path):
         _, manifest, _ = make_run_fixture(tmp_path, n_characters=2)
@@ -337,3 +383,43 @@ class TestRunCommand:
             doc = json.loads((out_dir / "run_manifest.json").read_text(encoding="utf-8"))
             hashes.append(doc["manifest_hash"])
         assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("mode", ["vlm", "multi_agent"])
+    def test_mock_run_matches_golden_manifest_hash(self, runner, tmp_path, monkeypatch, mode):
+        # relative paths: the graph's source_split is the manifest path as given
+        make_run_fixture(tmp_path, n_characters=10, seed=8)
+        monkeypatch.chdir(tmp_path)
+        invoke(
+            runner, "run", "--manifest", "corpus.ldjson", "--out-dir", "out",
+            "--explanations", "explanations.json", "--mock", "--image-root", ".",
+            "--mode", mode,
+        )
+        doc = json.loads((tmp_path / "out" / "run_manifest.json").read_text(encoding="utf-8"))
+        golden = json.loads(
+            (Path(__file__).parent / "goldens" / "manifest_hashes.json").read_text(encoding="utf-8")
+        )
+        assert doc["manifest_hash"] == golden[mode]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serial_run_stays_on_the_calling_thread(self, runner, tmp_path, monkeypatch, workers):
+        threads: set[int] = set()
+
+        class RecordingProvider(StubEmbeddingProvider):
+            def embed_image(self, image):
+                threads.add(threading.get_ident())
+                return super().embed_image(image)
+
+            def embed_text(self, text):
+                threads.add(threading.get_ident())
+                return super().embed_text(text)
+
+        monkeypatch.setattr(cli_mod, "provider_from_env", lambda **_: RecordingProvider())
+        _, manifest, explanations = make_run_fixture(tmp_path, n_characters=5)
+        invoke(
+            runner, "run", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+            "--explanations", str(explanations), "--mock", "--image-root", str(tmp_path),
+            "--concurrency", str(workers),
+        )
+        caller = threading.get_ident()
+        assert caller in threads  # prototypes are built before the run starts
+        assert (threads == {caller}) == (workers == 1)

@@ -1,0 +1,70 @@
+"""Every persisted artifact goes through the atomic writer in ``_io``."""
+
+import pytest
+
+from obsdecipher.backends import (
+    ChatMessage,
+    ChatRequest,
+    ReplayChatBackend,
+    ScriptedChatBackend,
+)
+from obsdecipher.classifier import build_prototypes, save_model
+from obsdecipher.embedding import StubEmbeddingProvider
+from obsdecipher.errors import IoFailureError
+from obsdecipher.kg import build_graph, save_graph
+
+from conftest import build_fixture_corpus, fixture_explanations
+
+
+def _model(labels):
+    provider = StubEmbeddingProvider(dim=16)
+    return build_prototypes(
+        ((label, provider.embed_text(label)) for label in labels), provider_name=provider.name
+    )
+
+
+def _graph(n_characters):
+    corpus = build_fixture_corpus(n_characters=n_characters, n_labels=5, seed=1)
+    return build_graph(corpus, fixture_explanations(corpus))
+
+
+def _record(path, prompt):
+    backend = ReplayChatBackend(path, inner=ScriptedChatBackend([f"reply to {prompt}"]), record=True)
+    backend.complete(ChatRequest(messages=(ChatMessage(role="user", content=prompt),)))
+
+
+WRITERS = {
+    # name -> (write the first version, write a second version, its error)
+    "save_model": (
+        lambda path: save_model(_model(["hand", "roof"]), path),
+        lambda path: save_model(_model(["hand", "roof", "water"]), path),
+        IoFailureError,
+    ),
+    "save_graph": (
+        lambda path: save_graph(_graph(4), path),
+        lambda path: save_graph(_graph(6), path),
+        IoFailureError,
+    ),
+    "replay_recorder": (
+        lambda path: _record(path, "first"),
+        lambda path: _record(path, "second"),
+        OSError,
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_rename_keeps_the_previous_file(tmp_path, monkeypatch, writer):
+    write_first, write_second, error = WRITERS[writer]
+    target = tmp_path / "artifact"
+    write_first(target)
+    before = target.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("obsdecipher._io.os.replace", refuse)
+    with pytest.raises(error):
+        write_second(target)
+    assert target.read_bytes() == before
+    assert list(tmp_path.glob(f".{target.name}.*")) == []
