@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import uuid
 from pathlib import Path
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the target directory, then rename over."""
+    """Write via a temp file in the target directory, then rename over.
+
+    The temp file is created with mode 0666 less the umask, as ``open``
+    creates a file, so the artifact gets the usual permissions.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{uuid.uuid4().hex}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

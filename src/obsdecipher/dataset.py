@@ -194,6 +194,8 @@ def character_from_annotation(
 ) -> CharacterRecord:
     """Build the character record for an annotation, applying optional expert
     metadata (interpretation, inscription_type, modern_form, variant_group)."""
+    if metadata is not None and not isinstance(metadata, Mapping):
+        raise MalformedInputError(f"metadata for {character_id!r} must be a JSON object")
     meta = dict(metadata or {})
     return CharacterRecord(
         character_id=character_id,

@@ -2,8 +2,8 @@
 
 The image encoder itself is an external backend: this module defines the
 provider contract, a deterministic offline stub used throughout the test
-suite, an HTTP client for a hosted encoder, and the double-precision vector
-operations the classifier and the semantic cache rely on.
+suite, an HTTP client for a hosted encoder, and double-precision cosine
+similarity and Euclidean distance.
 """
 
 from __future__ import annotations

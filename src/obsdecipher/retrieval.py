@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .classifier import RankedPrediction
-from .embedding import EmbeddingProvider, EmbeddingVector, cosine_similarity, embed_text
-from .errors import ConfigError, GraphUnavailableError, NotFoundError
+from .embedding import EmbeddingProvider, EmbeddingVector, embed_text
+from .errors import ConfigError, GraphUnavailableError, NotFoundError, ZeroNormError
 from .kg import KnowledgeGraph
 
 
@@ -171,11 +173,30 @@ class RetrievalConfig:
 class SemanticCache:
     """LRU cache keyed by query-embedding similarity.
 
-    A lookup embeds the query text and returns the stored result of the most
-    similar entry when that similarity clears the threshold; the hit becomes
-    most-recently-used. Inserts evict the least-recently-used entry once
-    capacity is exceeded. Operations are serialized by a lock so concurrent
-    retrievals never observe torn LRU state. Capacity 0 disables the cache.
+    A lookup returns the stored result of the entry whose key embedding is
+    most similar to the query's, when that cosine (clamped to [-1, 1]) clears
+    the threshold; on an exact tie the entry earliest in LRU order wins, and
+    the hit becomes most-recently-used. Inserts evict the least-recently-used
+    entry once capacity is exceeded. Capacity 0 disables the cache.
+
+    A query equal to a stored key is served from that key without embedding
+    anything (or, when other keys embed to bitwise the same vector, from the
+    earliest of them, as a scan would). Any other query is embedded once and
+    scored against every key with one mat-vec over a matrix of unit-normalized
+    key vectors, one row per entry. The matrix reserves up to 1,024 rows at
+    the first insert and doubles when full, up to ``capacity``; its pages are
+    committed as rows are written, and an evicted entry's row is reused. The
+    miss's vector is kept per thread so that the following ``insert`` of the
+    same text does not embed it again, which the provider contract
+    (embeddings are deterministic per input) makes safe. A zero-norm query
+    raises ``ZeroNormError`` when there is a key to compare it with; a
+    zero-norm key raises it on insert and is not stored.
+
+    Similarity hits are not restricted to the same tool or argument: if an
+    encoder puts ``component_explanation:人`` and ``component_explanation:入``
+    within the threshold, a lookup of one is served the other's evidence.
+    Operations are serialized by a lock so concurrent retrievals never
+    observe torn LRU state.
     """
 
     def __init__(self, provider: EmbeddingProvider, threshold: float = 0.95, capacity: int = 1024):
@@ -186,7 +207,12 @@ class SemanticCache:
         self.provider = provider
         self.threshold = threshold
         self.capacity = capacity
-        self._entries: "OrderedDict[str, tuple[EmbeddingVector, tuple[EvidenceItem, ...]]]" = OrderedDict()
+        # key -> (row in _matrix, payload), in LRU order; _keys maps rows back
+        self._entries: "OrderedDict[str, tuple[int, tuple[EvidenceItem, ...]]]" = OrderedDict()
+        self._matrix = np.empty((0, provider.dim))
+        self._keys: list[str] = []
+        self._rows_alike: Counter[int] = Counter()  # row-bytes hash -> live rows
+        self._last_miss = threading.local()
         self._lock = threading.Lock()
 
     @classmethod
@@ -201,34 +227,78 @@ class SemanticCache:
     def lookup(self, query_text: str) -> tuple[EvidenceItem, ...] | None:
         if self.capacity == 0:
             return None
-        query_vec = embed_text(self.provider, query_text)
         with self._lock:
-            best_key: str | None = None
-            best_sim = -2.0
-            for key, (vec, _) in self._entries.items():
-                sim = cosine_similarity(query_vec, vec)
-                if sim > best_sim:
-                    best_sim = sim
-                    best_key = key
-            if best_key is None or best_sim < self.threshold:
+            entry = self._entries.get(query_text)
+            if entry is not None:
+                row = self._matrix[entry[0]]
+                if self._rows_alike[hash(row.tobytes())] > 1:
+                    query_text = next(
+                        key for key, (other, _) in self._entries.items()
+                        if np.array_equal(self._matrix[other], row)
+                    )
+                return self._touch(query_text)
+        vec = embed_text(self.provider, query_text)
+        self._last_miss.entry = (query_text, vec)
+        with self._lock:
+            if not self._entries:
                 return None
-            self._entries.move_to_end(best_key)
-            return self._entries[best_key][1]
+            sims = np.clip(self._matrix[: len(self._entries)] @ _unit(vec), -1.0, 1.0)
+            best = int(np.argmax(sims))
+            top = sims[best]
+            if top < self.threshold:
+                return None
+            key = self._keys[best]
+            if np.count_nonzero(sims == top) > 1:
+                key = next(k for k, (row, _) in self._entries.items() if sims[row] == top)
+            return self._touch(key)
+
+    def _touch(self, key: str) -> tuple[EvidenceItem, ...]:
+        self._entries.move_to_end(key)
+        return self._entries[key][1]
 
     def insert(self, query_text: str, result: Sequence[EvidenceItem]) -> None:
         if self.capacity == 0:
             return
-        vec = embed_text(self.provider, query_text)
+        missed_text, vec = getattr(self._last_miss, "entry", (None, None))
+        if missed_text != query_text:
+            vec = embed_text(self.provider, query_text)
+        unit = _unit(vec)
         with self._lock:
             if query_text in self._entries:
-                self._entries.move_to_end(query_text)
-            self._entries[query_text] = (vec, tuple(result))
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                row = self._release(self._entries.pop(query_text)[0])
+            elif len(self._entries) == self.capacity:
+                row = self._release(self._entries.popitem(last=False)[1][0])
+            else:
+                row = len(self._entries)
+                if row == len(self._matrix):
+                    # pages are committed as rows are first written, so
+                    # only caches past 1,024 keys copy the matrix to grow
+                    grown = np.empty((min(self.capacity, max(1024, 2 * row)), unit.shape[0]))
+                    grown[:row] = self._matrix
+                    self._matrix = grown
+                self._keys.append(query_text)
+            self._matrix[row] = unit
+            self._keys[row] = query_text
+            self._rows_alike[hash(unit.tobytes())] += 1
+            self._entries[query_text] = (row, tuple(result))
+
+    def _release(self, row: int) -> int:
+        digest = hash(self._matrix[row].tobytes())
+        self._rows_alike[digest] -= 1
+        if not self._rows_alike[digest]:
+            del self._rows_alike[digest]
+        return row
 
     def keys(self) -> tuple[str, ...]:
         with self._lock:
             return tuple(self._entries)
+
+
+def _unit(vec: EmbeddingVector) -> np.ndarray:
+    norm = float(np.linalg.norm(vec.values))
+    if norm == 0.0:
+        raise ZeroNormError("cosine similarity undefined for zero-norm vector")
+    return vec.values / norm
 
 
 def _explanation_items(graph: KnowledgeGraph, label: str) -> tuple[EvidenceItem, ...]:
@@ -355,8 +425,8 @@ def synthesize_bundle(
         key = (item.kind, item.subject)
         old = pool.get(key)
         if old is None or (
-            (_SOURCE_PRIORITY[item.source], item.content)
-            < (_SOURCE_PRIORITY[old.source], old.content)
+            (_SOURCE_PRIORITY[item.source], item.content, item.co_components)
+            < (_SOURCE_PRIORITY[old.source], old.content, old.co_components)
         ):
             pool[key] = item
 

@@ -151,11 +151,20 @@ def _json_input_command(command, tmp_path, bad_file):
             "--explanations", str(bad_file), "--mock", "--image-root", str(tmp_path)]
 
 
-@pytest.mark.parametrize("kind", sorted(MALFORMED_JSON))
-@pytest.mark.parametrize("command", ["ingest", "build-kg", "run"])
+# valid for the label -> text files of build-kg and run, malformed as metadata
+MALFORMED_METADATA = {"value_not_an_object": b'{"char0": "ideographic"}'}
+
+MALFORMED_CASES = [
+    (command, kind) for command in ("ingest", "build-kg", "run") for kind in sorted(MALFORMED_JSON)
+] + [("ingest", kind) for kind in sorted(MALFORMED_METADATA)]
+
+
+@pytest.mark.parametrize(
+    "command,kind", MALFORMED_CASES, ids=[f"{command}-{kind}" for command, kind in MALFORMED_CASES]
+)
 def test_malformed_json_input_is_domain_error(runner, tmp_path, command, kind):
     bad_file = tmp_path / "input.json"
-    bad_file.write_bytes(MALFORMED_JSON[kind])
+    bad_file.write_bytes({**MALFORMED_JSON, **MALFORMED_METADATA}[kind])
     result = runner.invoke(main, _json_input_command(command, tmp_path, bad_file))
     assert result.exit_code == 1
     assert "MalformedInputError" in result.output

@@ -1,7 +1,10 @@
 """Every persisted artifact goes through the atomic writer in ``_io``."""
 
+import os
+
 import pytest
 
+from obsdecipher._io import atomic_write_text
 from obsdecipher.backends import (
     ChatMessage,
     ChatRequest,
@@ -68,3 +71,13 @@ def test_failed_rename_keeps_the_previous_file(tmp_path, monkeypatch, writer):
         write_second(target)
     assert target.read_bytes() == before
     assert list(tmp_path.glob(f".{target.name}.*")) == []
+
+
+def test_artifact_mode_follows_the_umask(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        atomic_write_text(tmp_path / "artifact", "x")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "artifact").stat().st_mode & 0o777 == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

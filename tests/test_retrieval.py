@@ -8,6 +8,7 @@ from obsdecipher.embedding import StubEmbeddingProvider, cosine_similarity, embe
 from obsdecipher.errors import ConfigError
 from obsdecipher.kg import build_graph
 from obsdecipher.retrieval import (
+    EvidenceBundle,
     EvidenceItem,
     EvidenceKind,
     EvidenceSource,
@@ -269,6 +270,27 @@ class TestSynthesize:
                 synthesize_bundle(shuffled[:cut], shuffled[cut:], predicted, RetrievalConfig())
                 == reference
             )
+
+    def test_duplicate_kept_does_not_depend_on_arrival_order(self):
+        # one character reached through two components: equal source and
+        # content, different co-components
+        predicted = RankedPrediction((("hand", 0.1), ("roof", 0.2)))
+        via_hand = item(EvidenceKind.CONTAINING_CHARACTER, "charA", "手在屋下", co=("roof",))
+        via_roof = item(EvidenceKind.CONTAINING_CHARACTER, "charA", "手在屋下", co=("hand",))
+        explanation = item(EvidenceKind.COMPONENT_EXPLANATION, "hand", "象手之形")
+        bundles = [
+            EvidenceBundle(
+                character_ref="q",
+                predicted_components=predicted.entries,
+                items=synthesize_bundle(stage1, [], predicted, RetrievalConfig()),
+                trace=(),
+                sufficient=True,
+                min_evidence=0,
+            ).serialize()
+            for stage1 in ([explanation, via_hand, via_roof], [via_roof, explanation, via_hand])
+        ]
+        assert bundles[0] == bundles[1]
+        assert '"co_components": ["hand"]' in bundles[0]
 
     def test_explanations_follow_predicted_order(self):
         predicted = RankedPrediction((("roof", 0.1), ("hand", 0.2)))
