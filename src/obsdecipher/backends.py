@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 import requests
 
 from ._io import atomic_write_text
+from .dataset import INSCRIPTION_TYPES
 from .errors import BackendUnavailableError
 
 CHAT_URL_ENV = "OBS_CHAT_URL"
@@ -202,8 +203,6 @@ class ScriptedChatBackend(ChatBackend):
 
 _PREDICTION_LINE_RE = re.compile(r"(?m)^- (.+?) \(distance=")
 
-_TYPE_CHOICES = ("ideographic", "pictographic", "phono-semantic")
-
 
 class OfflineChatBackend(ChatBackend):
     """Deterministic structured replies for any pipeline prompt.
@@ -217,14 +216,12 @@ class OfflineChatBackend(ChatBackend):
     def __init__(self, name: str = "offline-mock"):
         self.name = name
         self.supports_images = True
-        self.requests: list[ChatRequest] = []
 
     def _hash(self, text: str) -> int:
         digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "little")
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self.requests.append(request)
         prompt = request.text
         h = self._hash(prompt)
         labels = _PREDICTION_LINE_RE.findall(prompt)
@@ -235,7 +232,7 @@ class OfflineChatBackend(ChatBackend):
                 lines.append(f"CALL characters_by_component {label}")
             content = "\n".join(lines) if lines else "CALL component_explanation unknown"
         elif "INTERPRETATION:" in prompt:
-            t = _TYPE_CHOICES[h % 3]
+            t = INSCRIPTION_TYPES[h % 3]
             parts = ", ".join(labels) if labels else "its strokes"
             content = (
                 f"TYPE: {t}\n"
@@ -244,7 +241,7 @@ class OfflineChatBackend(ChatBackend):
                 f"reading variant {h % 997} of the combined senses."
             )
         elif "TYPE:" in prompt:
-            t = _TYPE_CHOICES[h % 3]
+            t = INSCRIPTION_TYPES[h % 3]
             parts = ", ".join(labels) if labels else "its strokes"
             content = f"TYPE: {t}\nREASON: Component cues {parts} point to this formation (trace {h % 9973})."
         elif "Score:" in prompt:

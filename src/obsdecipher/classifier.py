@@ -2,7 +2,8 @@
 
 Each class is represented by the arithmetic mean of its support embeddings;
 queries are ranked by Euclidean distance over an exact full scan of the
-prototypes (at most a few hundred classes, so no index structure is needed).
+prototypes (OB-Radix has 478 component classes; a scan over a thousand
+prototype rows is one vectorized pass, so no index structure is needed).
 Ties at equal distance break lexicographically by label for reproducibility.
 """
 
@@ -20,10 +21,7 @@ from .embedding import EmbeddingVector
 from .errors import (
     CorruptFileError,
     DimensionMismatchError,
-    EmptyIndexError,
-    EmptyModelError,
-    EmptyTestSetError,
-    EmptyTrainingSetError,
+    EmptyInputError,
     IoFailureError,
     ProviderMismatchError,
 )
@@ -54,11 +52,7 @@ class RankedPrediction:
 
 
 class ClassifierModel:
-    """Immutable label -> prototype map with a dense matrix for scoring.
-
-    Queries are scored as given: nothing normalizes them, whether or not
-    the support embeddings were normalized when the prototypes were built.
-    """
+    """Immutable label -> prototype map with a dense matrix for scoring."""
 
     def __init__(
         self,
@@ -93,15 +87,8 @@ class ClassifierModel:
 def build_prototypes(
     train: Iterable[tuple[str, EmbeddingVector]],
     provider_name: str = "",
-    normalize: bool = False,
 ) -> ClassifierModel:
-    """Average each class's support embeddings into its prototype.
-
-    ``normalize`` L2-normalizes every support embedding before averaging
-    (exposed because published results do not state the choice; off by
-    default). It touches only the support vectors: the model does not
-    record it, and ``classify_topk`` never normalizes a query.
-    """
+    """Average each class's support embeddings into its prototype."""
     groups: dict[str, list[np.ndarray]] = {}
     dim: int | None = None
     for label, vec in train:
@@ -111,12 +98,9 @@ def build_prototypes(
             raise DimensionMismatchError(
                 f"embedding for {label!r} has dim {vec.dim}, expected {dim}"
             )
-        values = vec.values
-        if normalize:
-            values = values / np.linalg.norm(values)
-        groups.setdefault(label, []).append(values)
+        groups.setdefault(label, []).append(vec.values)
     if not groups:
-        raise EmptyTrainingSetError("no training samples")
+        raise EmptyInputError("no training samples")
     assert dim is not None
     protos = [
         Prototype(
@@ -132,7 +116,7 @@ def build_prototypes(
 def classify_topk(model: ClassifierModel, query: EmbeddingVector, k: int) -> RankedPrediction:
     """Top-``k`` classes by ascending Euclidean distance to the prototypes."""
     if len(model) == 0:
-        raise EmptyModelError("classifier has no prototypes")
+        raise EmptyInputError("classifier has no prototypes")
     if query.dim != model.dim:
         raise DimensionMismatchError(f"query dim {query.dim}, model dim {model.dim}")
     if k < 1:
@@ -149,7 +133,7 @@ def evaluate_topk(
 ) -> dict[int, float]:
     """ACC@k: fraction of test items whose label is among the k nearest."""
     if not test:
-        raise EmptyTestSetError("no test samples")
+        raise EmptyInputError("no test samples")
     max_k = max(ks)
     hits = {k: 0 for k in ks}
     for label, vec in test:
@@ -158,32 +142,6 @@ def evaluate_topk(
             if label in top[:k]:
                 hits[k] += 1
     return {k: hits[k] / len(test) for k in ks}
-
-
-def variant_search(
-    index: Sequence[tuple[str, EmbeddingVector]],
-    query: EmbeddingVector,
-    k: int,
-) -> tuple[tuple[str, float], ...]:
-    """Nearest neighbours over raw per-character embeddings.
-
-    Variant forms lack shared component structure, so there is no class to
-    average over: the index holds one vector per character, ranked by
-    ascending distance with ties broken by identifier.
-    """
-    if not index:
-        raise EmptyIndexError("variant index is empty")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scored = []
-    for character_id, vec in index:
-        if vec.dim != query.dim:
-            raise DimensionMismatchError(
-                f"index entry {character_id!r} dim {vec.dim}, query dim {query.dim}"
-            )
-        scored.append((character_id, float(np.linalg.norm(vec.values - query.values))))
-    scored.sort(key=lambda e: (e[1], e[0]))
-    return tuple(scored[:k])
 
 
 # --- persistence ------------------------------------------------------------

@@ -15,7 +15,6 @@ import click
 
 from . import agreement as agreement_mod
 from . import dataset, kg
-from ._io import atomic_write_text
 from .backends import OfflineChatBackend, backend_from_env
 from .classifier import (
     build_prototypes,
@@ -33,6 +32,7 @@ from .pipeline import (
     PipelineConfig,
     interpret_character,
     run_pipeline,
+    write_json,
 )
 from .report import EvalConfig, evaluate_run
 from .retrieval import SemanticCache
@@ -40,10 +40,6 @@ from .retrieval import SemanticCache
 
 def _emit(doc: dict) -> None:
     click.echo(json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
-
-
-def _write_json(path: str | Path, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
 
 
 def _read_json_object(path: str | Path) -> dict:
@@ -156,20 +152,14 @@ def split(manifest, ratio, seed, unit, out_train, out_test):
 @main.command()
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--normalize", is_flag=True, help="L2-normalize embeddings before averaging.")
-@click.option("--dim", type=int, default=768, show_default=True)
 @click.option("--image-root", type=click.Path(file_okay=False), default=None)
 @domain_errors
-def train(manifest, out, normalize, dim, image_root):
+def train(manifest, out, image_root):
     """Build per-class prototypes from the training manifest."""
-    provider = provider_from_env(dim=dim)
+    provider = provider_from_env()
     corpus = read_manifest(manifest)
     root = Path(image_root) if image_root else None
-    model = build_prototypes(
-        _component_pairs(corpus, provider, root),
-        provider_name=provider.name,
-        normalize=normalize,
-    )
+    model = build_prototypes(_component_pairs(corpus, provider, root), provider_name=provider.name)
     save_model(model, out)
     _emit(
         {
@@ -178,7 +168,6 @@ def train(manifest, out, normalize, dim, image_root):
             "classes": len(model),
             "dim": model.dim,
             "provider": provider.name,
-            "normalize": normalize,
         }
     )
 
@@ -226,7 +215,7 @@ def eval_topk_cmd(model_path, manifest, ks, out, image_root):
         "acc": {str(k): accuracy[k] for k in k_values},
     }
     if out:
-        _write_json(out, doc)
+        write_json(out, doc)
     _emit(doc)
 
 
@@ -301,7 +290,7 @@ def interpret(graph_path, model_path, image, mode, lang, k, out, dump_evidence, 
     if dump_evidence:
         doc["evidence"] = evidence.to_json()
     if out:
-        _write_json(out, doc)
+        write_json(out, doc)
     _emit(doc)
 
 
@@ -320,7 +309,10 @@ def evaluate(results_dir, gold, metrics, lang, out, mock):
     for path in sorted(Path(results_dir).glob("*.json")):
         if path.name == "run_manifest.json":
             continue
-        results.append(InterpretationResult.from_json(json.loads(path.read_text(encoding="utf-8"))))
+        try:
+            results.append(InterpretationResult.from_json(_read_json_object(path)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInputError(f"{path}: not an interpretation result: {exc!r}") from exc
     corpus = read_manifest(gold)
     judge_backend = None
     if "judge" in metric_list:
@@ -334,7 +326,7 @@ def evaluate(results_dir, gold, metrics, lang, out, mock):
         judge_backend=judge_backend,
     )
     if out:
-        _write_json(out, report.to_json())
+        write_json(out, report.to_json())
     click.echo(report.to_table(), err=True)
     _emit(report.to_json())
 

@@ -356,39 +356,40 @@ def read_manifest(path: str | Path, vocabulary: frozenset[str] | None = None) ->
     """
     characters: list[CharacterRecord] = []
     components: list[ComponentRecord] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        where = f"{path}:{lineno}"
+        rec = parse_json_object(line, where)
         kind = rec.get("kind")
-        if kind == "character":
-            characters.append(
-                CharacterRecord(
-                    character_id=rec["character_id"],
-                    image_ref=rec.get("image_ref", ""),
-                    component_labels=tuple(rec.get("component_labels", ())),
-                    interpretation=rec.get("interpretation", "") or "",
-                    inscription_type=rec.get("inscription_type"),
-                    modern_form=rec.get("modern_form"),
-                    variant_group=rec.get("variant_group"),
+        try:
+            if kind == "character":
+                characters.append(
+                    CharacterRecord(
+                        character_id=rec["character_id"],
+                        image_ref=rec.get("image_ref", ""),
+                        component_labels=tuple(rec.get("component_labels", ())),
+                        interpretation=rec.get("interpretation", "") or "",
+                        inscription_type=rec.get("inscription_type"),
+                        modern_form=rec.get("modern_form"),
+                        variant_group=rec.get("variant_group"),
+                    )
                 )
-            )
-        elif kind == "component":
-            components.append(
-                ComponentRecord(
-                    component_id=rec["component_id"],
-                    label=rec["label"],
-                    source_character_id=rec["source_character_id"],
-                    polygon=tuple((float(x), float(y)) for x, y in rec.get("polygon", ())),
-                    image_ref=rec.get("image_ref", ""),
-                    explanation=rec.get("explanation", "") or "",
+            elif kind == "component":
+                components.append(
+                    ComponentRecord(
+                        component_id=rec["component_id"],
+                        label=rec["label"],
+                        source_character_id=rec["source_character_id"],
+                        polygon=tuple((float(x), float(y)) for x, y in rec.get("polygon", ())),
+                        image_ref=rec.get("image_ref", ""),
+                        explanation=rec.get("explanation", "") or "",
+                    )
                 )
-            )
-        else:
-            raise MalformedInputError(f"{path}:{lineno}: unknown record kind {kind!r}")
+            else:
+                raise MalformedInputError(f"{where}: unknown record kind {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInputError(f"{where}: malformed {kind} record: {exc!r}") from exc
     if vocabulary is None:
         vocabulary = frozenset(c.label for c in components) | frozenset(
             label for char in characters for label in char.component_labels

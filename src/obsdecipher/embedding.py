@@ -3,7 +3,7 @@
 The image encoder itself is an external backend: this module defines the
 provider contract, a deterministic offline stub used throughout the test
 suite, an HTTP client for a hosted encoder, and double-precision cosine
-similarity and Euclidean distance.
+similarity.
 """
 
 from __future__ import annotations
@@ -182,13 +182,17 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
             body = resp.json()
             values = body["values"]
             reported = int(body["dim"])
+            if not isinstance(values, list):
+                raise TypeError(f"values is a {type(values).__name__}, not a list")
+            # NaN, infinite and non-numeric values raise here too
+            vector = EmbeddingVector(np.asarray(values, dtype=np.float64))
         except (ValueError, KeyError, TypeError) as exc:
             raise ProviderUnavailableError(f"malformed embedding response: {exc}") from exc
-        if reported != self.dim or len(values) != self.dim:
+        if reported != self.dim or vector.dim != self.dim:
             raise DimensionMismatchError(
-                f"endpoint returned {len(values)} values (dim={reported}), expected {self.dim}"
+                f"endpoint returned {vector.dim} values (dim={reported}), expected {self.dim}"
             )
-        return EmbeddingVector(np.asarray(values, dtype=np.float64))
+        return vector
 
     def embed_image(self, image: bytes) -> EmbeddingVector:
         if not image:
@@ -201,28 +205,18 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         return self._post("text", text)
 
 
-def provider_from_env(dim: int = DEFAULT_DIM) -> EmbeddingProvider:
+def provider_from_env() -> EmbeddingProvider:
     """Remote provider when OBS_EMBED_URL is set, stub otherwise."""
     url = os.environ.get(EMBED_URL_ENV, "").strip()
     if url:
-        return RemoteEmbeddingProvider(url, dim=dim)
-    return StubEmbeddingProvider(dim=dim)
-
-
-def _check_dims(a: EmbeddingVector, b: EmbeddingVector) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def euclidean_distance(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """L2 distance in double precision."""
-    _check_dims(a, b)
-    return float(np.linalg.norm(a.values - b.values))
+        return RemoteEmbeddingProvider(url)
+    return StubEmbeddingProvider()
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine of the angle between two nonzero vectors, clamped to [-1, 1]."""
-    _check_dims(a, b)
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     na = float(np.linalg.norm(a.values))
     nb = float(np.linalg.norm(b.values))
     if na == 0.0 or nb == 0.0:

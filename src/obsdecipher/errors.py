@@ -67,24 +67,6 @@ class ProviderMismatchError(ObsError):
     """A persisted model was built with a different embedding provider."""
 
 
-# --- classifier -----------------------------------------------------------
-
-class EmptyTrainingSetError(ObsError):
-    """No training samples supplied."""
-
-
-class EmptyModelError(ObsError):
-    """Classifier has no prototypes."""
-
-
-class EmptyTestSetError(ObsError):
-    """No test samples supplied."""
-
-
-class EmptyIndexError(ObsError):
-    """Variant-search index is empty."""
-
-
 # --- knowledge graph ------------------------------------------------------
 
 class NotFoundError(ObsError):
@@ -141,10 +123,6 @@ class TemplateError(ObsError):
 
 
 # --- evaluation -----------------------------------------------------------
-
-class EmptyReferenceError(ObsError):
-    """Reference token sequence is empty."""
-
 
 class ProblemTooLargeError(ObsError):
     """Exact transport solver limit exceeded."""

@@ -310,28 +310,25 @@ def parse_tool_plan(raw: str) -> list[tuple[ToolName, str]] | None:
 def generate_interpretation_multiagent(
     retriever: ChatBackend,
     reasoner: ChatBackend,
-    image: bytes | None,
     graph: KnowledgeGraph,
     predicted: RankedPrediction,
     cache: SemanticCache,
     config: RetrievalConfig,
     lang: str = "zh",
     character_ref: str = "",
-    retriever_sees_image: bool = False,
 ) -> tuple[InterpretationResult, EvidenceBundle]:
     """Two-agent mode: plan-and-retrieve, then synthesize.
 
     The retrieval agent proposes tool calls constrained to the two external
     tools; a malformed plan falls back to the deterministic cascade and the
-    result is flagged. The reasoning agent is text-only by default. Token
-    usage is attributed per agent and summed into the total.
+    result is flagged. Both agents are text-only. Token usage is attributed
+    per agent and summed into the total.
     """
     plan_template = load_template(f"retriever_plan.{lang}")
     plan_prompt = plan_template.render(predictions=render_predictions(predicted.entries))
-    plan_image = image if (retriever_sees_image and retriever.supports_images) else None
     try:
         plan_resp = retriever.complete(
-            ChatRequest(messages=(_user_message(plan_prompt, plan_image),), temperature=0.0)
+            ChatRequest(messages=(ChatMessage(role="user", content=plan_prompt),), temperature=0.0)
         )
     except BackendUnavailableError as exc:
         exc.agent = "retriever"

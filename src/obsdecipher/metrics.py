@@ -19,8 +19,6 @@ from .backends import ChatBackend, ChatMessage, ChatRequest
 from .embedding import EmbeddingProvider, embed_text
 from .errors import (
     EmptyInputError,
-    EmptyReferenceError,
-    EmptyTestSetError,
     LengthMismatchError,
     ProblemTooLargeError,
     ZeroNormError,
@@ -49,7 +47,7 @@ def tokenize(text: str, lang: str = "zh") -> TokenSequence:
 def rouge1_f1(candidate: TokenSequence, reference: TokenSequence) -> float:
     """Unigram F1 with candidate counts clipped by the reference multiset."""
     if len(reference) == 0:
-        raise EmptyReferenceError("reference token sequence is empty")
+        raise EmptyInputError("reference token sequence is empty")
     if len(candidate) == 0:
         return 0.0
     cand = Counter(candidate.tokens)
@@ -154,24 +152,12 @@ def _exact_transport_cost(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> flo
     return float(result.fun)
 
 
-def topk_accuracy(predictions, gold, k: int) -> float:
-    """Fraction of items whose gold label appears in the top-k ranking."""
-    if len(predictions) != len(gold):
-        raise LengthMismatchError(
-            f"{len(predictions)} predictions vs {len(gold)} gold labels"
-        )
-    if not predictions:
-        raise EmptyTestSetError("no predictions to score")
-    hits = sum(1 for pred, label in zip(predictions, gold) if label in pred.labels(k))
-    return hits / len(predictions)
-
-
 def classification_accuracy(predicted, gold) -> float:
     """Exact-match fraction over aligned label sequences."""
     if len(predicted) != len(gold):
         raise LengthMismatchError(f"{len(predicted)} predicted vs {len(gold)} gold")
     if not predicted:
-        raise EmptyTestSetError("no predictions to score")
+        raise EmptyInputError("no predictions to score")
     return sum(1 for a, b in zip(predicted, gold) if a == b) / len(predicted)
 
 

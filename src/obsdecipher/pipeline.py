@@ -126,7 +126,6 @@ def interpret_character(
         result, evidence = generate_interpretation_multiagent(
             backends.retriever,
             backends.reasoner,
-            image,
             graph,
             predicted,
             cache,
@@ -205,13 +204,14 @@ def run_pipeline(
         out = Path(out_dir)
         (out / "evidence").mkdir(parents=True, exist_ok=True)
         for result, bundle in zip(results, bundles):
-            _write_json(out / f"{result.character_ref}.json", result.to_json())
-            _write_json(out / "evidence" / f"{result.character_ref}.json", bundle.to_json())
-        _write_json(out / "run_manifest.json", manifest)
+            write_json(out / f"{result.character_ref}.json", result.to_json())
+            write_json(out / "evidence" / f"{result.character_ref}.json", bundle.to_json())
+        write_json(out / "run_manifest.json", manifest)
     return results, failures, manifest
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def write_json(path: str | Path, doc: dict) -> None:
+    """Atomically write ``doc`` as sorted, indented UTF-8 JSON."""
     atomic_write_text(path, json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
 
 

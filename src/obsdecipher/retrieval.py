@@ -161,14 +161,6 @@ class RetrievalConfig:
         if self.cache_capacity < 0:
             raise ConfigError("cache_capacity must be >= 0")
 
-    @classmethod
-    def from_mapping(cls, doc: Mapping) -> "RetrievalConfig":
-        known = {"top_m", "min_evidence", "max_items", "cache_threshold", "cache_capacity"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown retrieval config keys: {sorted(unknown)}")
-        return cls(**{k: doc[k] for k in doc})
-
 
 class SemanticCache:
     """LRU cache keyed by query-embedding similarity.

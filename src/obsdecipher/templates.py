@@ -18,8 +18,6 @@ from .errors import TemplateError
 
 _SLOT_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
-SUPPORTED_LANGUAGES = ("zh", "en")
-
 NO_EVIDENCE_MARKER = {"zh": "（无检索证据）", "en": "(no retrieved evidence)"}
 
 

@@ -135,6 +135,8 @@ MALFORMED_JSON = {
 
 def _json_input_command(command, tmp_path, bad_file):
     """Arguments for each command that reads a JSON object file."""
+    if command == "stats":
+        return ["stats", "--manifest", str(bad_file)]
     if command == "ingest":
         ann_dir = tmp_path / "ann"
         ann_dir.mkdir()
@@ -147,6 +149,11 @@ def _json_input_command(command, tmp_path, bad_file):
     if command == "build-kg":
         return ["build-kg", "--manifest", str(manifest), "--explanations", str(bad_file),
                 "--out", str(tmp_path / "graph.ldjson")]
+    if command == "evaluate":
+        results = tmp_path / "results"
+        results.mkdir()
+        bad_file.rename(results / "char0000.json")
+        return ["evaluate", "--results", str(results), "--gold", str(manifest)]
     return ["run", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
             "--explanations", str(bad_file), "--mock", "--image-root", str(tmp_path)]
 
@@ -154,9 +161,21 @@ def _json_input_command(command, tmp_path, bad_file):
 # valid for the label -> text files of build-kg and run, malformed as metadata
 MALFORMED_METADATA = {"value_not_an_object": b'{"char0": "ideographic"}'}
 
+# well-formed JSON objects that lack a field the record requires
+MISSING_FIELD = {
+    "character_without_id": b'{"kind": "character"}',
+    "result_without_interpretation": b'{"character_ref": "char0000", "mode": "vlm"}',
+}
+
 MALFORMED_CASES = [
-    (command, kind) for command in ("ingest", "build-kg", "run") for kind in sorted(MALFORMED_JSON)
-] + [("ingest", kind) for kind in sorted(MALFORMED_METADATA)]
+    (command, kind)
+    for command in ("ingest", "build-kg", "run", "stats", "evaluate")
+    for kind in sorted(MALFORMED_JSON)
+] + [
+    ("ingest", "value_not_an_object"),
+    ("stats", "character_without_id"),
+    ("evaluate", "result_without_interpretation"),
+]
 
 
 @pytest.mark.parametrize(
@@ -164,7 +183,7 @@ MALFORMED_CASES = [
 )
 def test_malformed_json_input_is_domain_error(runner, tmp_path, command, kind):
     bad_file = tmp_path / "input.json"
-    bad_file.write_bytes({**MALFORMED_JSON, **MALFORMED_METADATA}[kind])
+    bad_file.write_bytes({**MALFORMED_JSON, **MALFORMED_METADATA, **MISSING_FIELD}[kind])
     result = runner.invoke(main, _json_input_command(command, tmp_path, bad_file))
     assert result.exit_code == 1
     assert "MalformedInputError" in result.output

@@ -288,6 +288,15 @@ def test_manifest_round_trip(tmp_path, small_corpus):
     assert loaded.vocabulary == small_corpus.vocabulary
 
 
+def test_manifest_round_trip_keeps_unicode_line_separators(tmp_path):
+    # JSON leaves U+0085, U+2028 and U+2029 unescaped; only \n ends a record
+    char = CharacterRecord(character_id="c0", image_ref="c0.png",
+                           interpretation="first\u2028second\u2029third\x85end")
+    path = tmp_path / "manifest.ldjson"
+    write_manifest(Corpus((char,), (), frozenset()), path)
+    assert read_manifest(path).characters == (char,)
+
+
 def test_vocabulary_loader(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("hand\n\nroof\n  water  \n", encoding="utf-8")

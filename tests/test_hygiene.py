@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "obsdecipher"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "obsdecipher"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -66,3 +67,63 @@ def test_checker_sees_string_annotations():
     used = _used_names(tree)
     assert {"Dict", "Vec"} <= used
     assert "Gone" not in used
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes accessed and names imported anywhere in ``tree``."""
+    refs: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rsplit(".", 1)[-1])
+    return refs
+
+
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level function, class and constant names -> line number.
+
+    Dunder names and click commands (registered by their decorator, never
+    called by name) are left out.
+    """
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not any(".command(" in ast.unparse(d) for d in node.decorator_list):
+                defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    return {n: line for n, line in defined.items() if not (n.startswith("__") and n.endswith("__"))}
+
+
+def test_no_dead_definitions():
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    referenced = set().union(*map(_references, trees))
+    dead = sorted(
+        f"{path.name}: {name} (line {line})"
+        for path in SOURCES
+        for name, line in _definitions(ast.parse(path.read_text(encoding="utf-8"))).items()
+        if name not in referenced
+    )
+    assert not dead, f"defined but never referenced: {dead}"
+
+
+def test_dead_definition_checker_ignores_the_definition_itself():
+    tree = ast.parse(
+        "import click\nLIMIT = 3\nUSED = LIMIT\n"
+        "def helper():\n    return 1\n"
+        "@main.command()\ndef cmd():\n    pass\n"
+        "class Gone:\n    pass\n__all__ = []\n"
+    )
+    refs = _references(tree)
+    dead = {name for name in _definitions(tree) if name not in refs}
+    assert dead == {"USED", "helper", "Gone"}

@@ -263,7 +263,7 @@ class TestMultiAgent:
             ["TYPE: ideographic\nREASON: r\nINTERPRETATION: 综合释读。"], name="composer"
         )
         result, bundle = generate_interpretation_multiagent(
-            retriever, reasoner, None, self.graph, self.predicted, self.cache,
+            retriever, reasoner, self.graph, self.predicted, self.cache,
             self.config, lang="zh", character_ref="charA",
         )
         assert result.mode == "multi_agent"
@@ -278,7 +278,7 @@ class TestMultiAgent:
         retriever = ScriptedChatBackend(["CALL rm_rf everything"], name="planner")
         reasoner = ScriptedChatBackend(["INTERPRETATION: ok"], name="composer")
         result, bundle = generate_interpretation_multiagent(
-            retriever, reasoner, None, self.graph, self.predicted, self.cache,
+            retriever, reasoner, self.graph, self.predicted, self.cache,
             self.config, lang="en", character_ref="charA",
         )
         assert result.retrieval_fallback is True
@@ -288,7 +288,7 @@ class TestMultiAgent:
         retriever = ScriptedChatBackend(["CALL component_explanation hand"], name="planner")
         reasoner = ScriptedChatBackend(["INTERPRETATION: done"], name="composer")
         result, _ = generate_interpretation_multiagent(
-            retriever, reasoner, None, self.graph, self.predicted, self.cache,
+            retriever, reasoner, self.graph, self.predicted, self.cache,
             self.config, lang="en",
         )
         parts = dict(result.usage_by_backend)
@@ -304,7 +304,7 @@ class TestMultiAgent:
         reasoner = ScriptedChatBackend(["INTERPRETATION: x"], name="composer")
         with pytest.raises(BackendUnavailableError) as exc:
             generate_interpretation_multiagent(
-                retriever, reasoner, None, self.graph, self.predicted, self.cache, self.config
+                retriever, reasoner, self.graph, self.predicted, self.cache, self.config
             )
         assert exc.value.agent == "retriever"
 
@@ -313,7 +313,7 @@ class TestMultiAgent:
         reasoner = ScriptedChatBackend(["INTERPRETATION: text only"], name="composer",
                                        supports_images=False)
         result, _ = generate_interpretation_multiagent(
-            retriever, reasoner, b"img", self.graph, self.predicted, self.cache,
+            retriever, reasoner, self.graph, self.predicted, self.cache,
             self.config, lang="en",
         )
         assert result.interpretation == "text only"
@@ -325,22 +325,32 @@ class TestMultiAgent:
         vlm = generate_interpretation_vlm(vlm_backend, b"img", PREDICTED, BUNDLE, lang="zh")
         retriever, reasoner = OfflineChatBackend(name="r"), OfflineChatBackend(name="s")
         multi, _ = generate_interpretation_multiagent(
-            retriever, reasoner, None, self.graph, PREDICTED, self.cache,
+            retriever, reasoner, self.graph, PREDICTED, self.cache,
             RetrievalConfig(), lang="zh",
         )
         ratio = multi.token_usage.total / vlm.token_usage.total
         assert ratio > 1.0
 
 
+class _CountingOfflineBackend(OfflineChatBackend):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        return super().complete(request)
+
+
 class TestLanguageParametricity:
     @pytest.mark.parametrize("lang", ["zh", "en"])
     def test_both_languages_same_control_flow(self, lang):
-        backend = OfflineChatBackend()
+        backend = _CountingOfflineBackend()
         typed = infer_relationship(backend, b"img", PREDICTED, BUNDLE, lang=lang)
         result = generate_interpretation_vlm(backend, b"img", PREDICTED, BUNDLE, lang=lang)
         assert typed.inscription_type in InscriptionType
         assert result.language == lang
-        assert len(backend.requests) == 2  # one per stage in both languages
+        assert backend.calls == 2  # one per stage in both languages
 
 
 class TestReplayBackend:

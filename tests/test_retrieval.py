@@ -309,8 +309,3 @@ class TestSynthesize:
         ]
         out = synthesize_bundle(stage1, [], predicted, RetrievalConfig())
         assert [i.rank for i in out] == [0, 1]
-
-
-def test_retrieval_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        RetrievalConfig.from_mapping({"top_m": 2, "bogus": 1})
