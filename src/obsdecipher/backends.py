@@ -1,26 +1,21 @@
-"""Chat/vision backends: HTTP client, offline deterministic mock, replay.
+"""Chat/vision backends: HTTP client, offline deterministic mock, test double.
 
 The hosted models are interchangeable; everything model-specific stays
 behind the ChatBackend contract. The offline backend answers any pipeline
-prompt deterministically so the full system runs with zero network access,
-and the replay backend records/replays real responses keyed by prompt hash.
+prompt deterministically so the full system runs with zero network access.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping
 
 import requests
 
-from ._io import atomic_write_text
 from .dataset import INSCRIPTION_TYPES
 from .errors import BackendUnavailableError
 
@@ -63,20 +58,6 @@ class ChatRequest:
     temperature: float = 0.0
     model: str | None = None
 
-    def canonical_json(self) -> str:
-        doc = {
-            "model": self.model,
-            "temperature": self.temperature,
-            "messages": [
-                {"role": m.role, "content": m.content, "image_b64": m.image_b64}
-                for m in self.messages
-            ],
-        }
-        return json.dumps(doc, ensure_ascii=False, sort_keys=True)
-
-    def prompt_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-
     @property
     def text(self) -> str:
         return "\n".join(m.content for m in self.messages if m.content)
@@ -117,6 +98,8 @@ class HttpChatBackend(ChatBackend):
 
     POST ``{model, temperature, messages:[{role, content|image_b64}]}``;
     the service replies ``{content, usage:{prompt_tokens, completion_tokens}}``.
+    The client sets no limit of its own on requests in flight: the caller's
+    concurrency (``run_pipeline``'s pool) bounds them.
     """
 
     def __init__(
@@ -125,17 +108,14 @@ class HttpChatBackend(ChatBackend):
         api_key: str | None = None,
         model: str | None = None,
         name: str | None = None,
-        supports_images: bool = True,
         timeout: float = 120.0,
-        max_in_flight: int = 4,
     ):
         self._url = url
         self._api_key = api_key
         self.model = model
         self.name = name or f"http:{url}"
-        self.supports_images = supports_images
+        self.supports_images = True
         self._timeout = timeout
-        self._gate = threading.Semaphore(max_in_flight)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         messages = []
@@ -155,25 +135,22 @@ class HttpChatBackend(ChatBackend):
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
         try:
-            with self._gate:
-                resp = requests.post(self._url, json=body, headers=headers, timeout=self._timeout)
+            resp = requests.post(self._url, json=body, headers=headers, timeout=self._timeout)
         except requests.RequestException as exc:
             raise BackendUnavailableError(f"chat backend unreachable: {exc}") from exc
         if resp.status_code != 200:
             raise BackendUnavailableError(f"chat backend returned HTTP {resp.status_code}")
         try:
             doc = resp.json()
-            content = doc["content"]
-        except (ValueError, KeyError) as exc:
+            content, usage = doc["content"], doc.get("usage", {})
+            if not isinstance(content, str) or not isinstance(usage, dict):
+                raise TypeError("content must be a string and usage an object")
+            counts = [usage.get(key, 0) for key in ("prompt_tokens", "completion_tokens")]
+            if any(type(n) is not int for n in counts):
+                raise TypeError(f"token counts {counts!r} are not integers")
+            return ChatResponse(content=content, usage=TokenUsage(*counts))
+        except (ValueError, KeyError, TypeError) as exc:
             raise BackendUnavailableError(f"malformed chat response: {exc}") from exc
-        usage = doc.get("usage", {})
-        return ChatResponse(
-            content=content,
-            usage=TokenUsage(
-                prompt=int(usage.get("prompt_tokens", 0)),
-                completion=int(usage.get("completion_tokens", 0)),
-            ),
-        )
 
 
 class ScriptedChatBackend(ChatBackend):
@@ -252,53 +229,6 @@ class OfflineChatBackend(ChatBackend):
             content=content,
             usage=TokenUsage(prompt=_request_tokens(request), completion=_approx_tokens(content)),
         )
-
-
-class ReplayChatBackend(ChatBackend):
-    """Canned request->response fixtures keyed by prompt hash.
-
-    In record mode, misses are forwarded to ``inner`` and the response is
-    persisted; otherwise a miss raises BackendUnavailableError. Fixture
-    files are plain JSON mapping prompt hashes to responses.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        inner: ChatBackend | None = None,
-        record: bool = False,
-        name: str | None = None,
-    ):
-        self._path = Path(path)
-        self._inner = inner
-        self._record = record
-        self.name = name or (inner.name if inner else "replay")
-        self.supports_images = inner.supports_images if inner else True
-        self._lock = threading.Lock()
-        if self._path.exists():
-            self._fixtures: dict = json.loads(self._path.read_text(encoding="utf-8"))
-        else:
-            self._fixtures = {}
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        key = request.prompt_hash()
-        with self._lock:
-            hit = self._fixtures.get(key)
-        if hit is not None:
-            return ChatResponse(content=hit["content"], usage=TokenUsage.from_json(hit.get("usage", {})))
-        if self._record and self._inner is not None:
-            resp = self._inner.complete(request)
-            with self._lock:
-                self._fixtures[key] = {
-                    "content": resp.content,
-                    "usage": resp.usage.to_json(),
-                }
-                atomic_write_text(
-                    self._path,
-                    json.dumps(self._fixtures, ensure_ascii=False, indent=2, sort_keys=True),
-                )
-            return resp
-        raise BackendUnavailableError(f"no recorded response for prompt hash {key[:12]}")
 
 
 def backend_from_env(role: str | None = None) -> ChatBackend | None:

@@ -61,13 +61,17 @@ def _configured(backend):
 
 
 def domain_errors(fn):
-    """Translate typed pipeline errors into exit code 1."""
+    """Translate typed pipeline errors and file-system errors into exit code 1.
+
+    The pair is the one ``run_pipeline`` isolates per character; an output
+    path in a missing directory ends here as ``FileNotFoundError``.
+    """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ObsError as exc:
+        except (ObsError, OSError) as exc:
             raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
     return wrapper

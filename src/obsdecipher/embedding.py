@@ -11,7 +11,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import os
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -146,7 +145,8 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
 
     Protocol: POST ``<base>/embed`` with ``{"kind": "image"|"text", "data":
     <base64 or utf-8>}``; the service replies ``{"dim": n, "values": [...]}``.
-    Concurrent in-flight requests are bounded by ``max_in_flight``.
+    The client sets no limit of its own on requests in flight: the caller's
+    concurrency (``run_pipeline``'s pool) bounds them.
     """
 
     def __init__(
@@ -155,23 +155,20 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         dim: int = DEFAULT_DIM,
         name: str | None = None,
         timeout: float = 60.0,
-        max_in_flight: int = 4,
     ):
         base = url.rstrip("/")
         self._endpoint = base if base.endswith("/embed") else base + "/embed"
         self.dim = dim
         self.name = name or f"remote:{self._endpoint}"
         self._timeout = timeout
-        self._gate = threading.Semaphore(max_in_flight)
 
     def _post(self, kind: str, data: str) -> EmbeddingVector:
         try:
-            with self._gate:
-                resp = requests.post(
-                    self._endpoint,
-                    json={"kind": kind, "data": data},
-                    timeout=self._timeout,
-                )
+            resp = requests.post(
+                self._endpoint,
+                json={"kind": kind, "data": data},
+                timeout=self._timeout,
+            )
         except requests.RequestException as exc:
             raise ProviderUnavailableError(f"embedding endpoint unreachable: {exc}") from exc
         if resp.status_code != 200:

@@ -112,9 +112,13 @@ def mover_score(
     """1 minus the exact word-mover cost between unigram distributions.
 
     Token mass is uniform over occurrences; the ground cost is the Euclidean
-    distance between L2-normalized token embeddings. The transport problem
-    is solved exactly as a linear program, limited to a 64x64 distinct-token
-    grid per side.
+    distance between L2-normalized token embeddings, which lies in [0, 2],
+    so the score lies in [-1, 1]: 1 for identical distributions, -1 when all
+    mass moves between antipodal embeddings. It goes negative once the mean
+    cost passes 1, as it does on the stub encoder, whose unrelated tokens
+    are nearly orthogonal (cost near sqrt 2). The transport problem is
+    solved exactly as a linear program, limited to a 64x64 distinct-token
+    grid per side. Reference: MoverScore (Zhao et al., EMNLP 2019).
     """
     if len(candidate) == 0 or len(reference) == 0:
         raise EmptyInputError("mover_score requires non-empty token sequences")

@@ -78,8 +78,7 @@ class PipelineBackends:
         chat = backend_from_env()
         if chat is None:
             return None
-        retriever = backend_from_env("retriever") or chat
-        reasoner = backend_from_env("reasoner") or chat
+        retriever, reasoner = backend_from_env("retriever"), backend_from_env("reasoner")
         return cls(chat=chat, retriever=retriever, reasoner=reasoner)
 
 

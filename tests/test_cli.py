@@ -190,6 +190,34 @@ def test_malformed_json_input_is_domain_error(runner, tmp_path, command, kind):
     assert isinstance(result.exception, SystemExit)
 
 
+def _missing_dir_command(runner, command, tmp_path, missing):
+    """Arguments for each command that writes its output into ``missing``."""
+    _, manifest, explanations = make_run_fixture(tmp_path, n_characters=4)
+    if command == "split":
+        return ["split", "--manifest", str(manifest), "--out-train", str(missing / "train.ldjson"),
+                "--out-test", str(tmp_path / "test.ldjson")]
+    if command == "eval-topk":
+        model = tmp_path / "model.bin"
+        invoke(runner, "train", "--manifest", str(manifest), "--out", str(model))
+        return ["eval-topk", "--model", str(model), "--manifest", str(manifest),
+                "--out", str(missing / "topk.json")]
+    results = tmp_path / "results"
+    invoke(runner, "run", "--manifest", str(manifest), "--out-dir", str(results),
+           "--explanations", str(explanations), "--mock", "--image-root", str(tmp_path))
+    return ["evaluate", "--results", str(results), "--gold", str(manifest),
+            "--metrics", "rouge1", "--out", str(missing / "report.json")]
+
+
+@pytest.mark.parametrize("command", ["split", "eval-topk", "evaluate"])
+def test_output_in_missing_directory_is_domain_error(runner, tmp_path, command):
+    missing = tmp_path / "nodir"
+    result = runner.invoke(main, _missing_dir_command(runner, command, tmp_path, missing))
+    assert result.exit_code == 1
+    assert "FileNotFoundError" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not missing.exists()
+
+
 class TestModelCommands:
     def test_train_classify_eval(self, runner, tmp_path):
         _, manifest, _ = make_run_fixture(tmp_path, n_characters=12)

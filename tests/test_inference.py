@@ -7,7 +7,6 @@ from obsdecipher.backends import (
     ChatRequest,
     ChatResponse,
     OfflineChatBackend,
-    ReplayChatBackend,
     ScriptedChatBackend,
     TokenUsage,
 )
@@ -351,25 +350,6 @@ class TestLanguageParametricity:
         assert typed.inscription_type in InscriptionType
         assert result.language == lang
         assert backend.calls == 2  # one per stage in both languages
-
-
-class TestReplayBackend:
-    def test_record_then_replay(self, tmp_path):
-        fixture = tmp_path / "replay.json"
-        inner = ScriptedChatBackend(["TYPE: ideographic\nREASON: once"], name="real")
-        recording = ReplayChatBackend(fixture, inner=inner, record=True)
-        request = ChatRequest(messages=(ChatMessage(role="user", content="hello"),))
-        first = recording.complete(request)
-        # fresh replay instance, no inner backend: must serve from the fixture
-        replay = ReplayChatBackend(fixture)
-        second = replay.complete(request)
-        assert second.content == first.content
-        assert second.usage == first.usage
-
-    def test_miss_without_recording(self, tmp_path):
-        replay = ReplayChatBackend(tmp_path / "empty.json")
-        with pytest.raises(BackendUnavailableError):
-            replay.complete(ChatRequest(messages=(ChatMessage(role="user", content="x"),)))
 
 
 class TestOfflineBackend:

@@ -5,16 +5,12 @@ import os
 import pytest
 
 from obsdecipher._io import atomic_write_text
-from obsdecipher.backends import (
-    ChatMessage,
-    ChatRequest,
-    ReplayChatBackend,
-    ScriptedChatBackend,
-)
 from obsdecipher.classifier import build_prototypes, save_model
+from obsdecipher.dataset import write_manifest
 from obsdecipher.embedding import StubEmbeddingProvider
 from obsdecipher.errors import IoFailureError
 from obsdecipher.kg import build_graph, save_graph
+from obsdecipher.pipeline import write_json
 
 from conftest import build_fixture_corpus, fixture_explanations
 
@@ -31,11 +27,6 @@ def _graph(n_characters):
     return build_graph(corpus, fixture_explanations(corpus))
 
 
-def _record(path, prompt):
-    backend = ReplayChatBackend(path, inner=ScriptedChatBackend([f"reply to {prompt}"]), record=True)
-    backend.complete(ChatRequest(messages=(ChatMessage(role="user", content=prompt),)))
-
-
 WRITERS = {
     # name -> (write the first version, write a second version, its error)
     "save_model": (
@@ -48,9 +39,15 @@ WRITERS = {
         lambda path: save_graph(_graph(6), path),
         IoFailureError,
     ),
-    "replay_recorder": (
-        lambda path: _record(path, "first"),
-        lambda path: _record(path, "second"),
+    # results, evidence and the run manifest, and the reports of the CLI
+    "write_json": (
+        lambda path: write_json(path, {"character_ref": "char0000", "interpretation": "first"}),
+        lambda path: write_json(path, {"character_ref": "char0000", "interpretation": "second"}),
+        OSError,
+    ),
+    "write_manifest": (
+        lambda path: write_manifest(build_fixture_corpus(n_characters=3, n_labels=4), path),
+        lambda path: write_manifest(build_fixture_corpus(n_characters=5, n_labels=4), path),
         OSError,
     ),
 }

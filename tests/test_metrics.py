@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from obsdecipher.backends import ScriptedChatBackend
-from obsdecipher.embedding import StubEmbeddingProvider, embed_text
+from obsdecipher.embedding import (
+    EmbeddingProvider,
+    EmbeddingVector,
+    StubEmbeddingProvider,
+    embed_text,
+)
 from obsdecipher.errors import (
     EmptyInputError,
     LengthMismatchError,
@@ -156,6 +161,51 @@ class TestMoverScore:
     def test_empty_rejected(self, provider):
         with pytest.raises(EmptyInputError):
             mover_score(toks("a"), toks(), provider)
+
+
+class TableProvider(EmbeddingProvider):
+    """Embeds each token as the vector its table gives it."""
+
+    name = "table"
+
+    def __init__(self, table):
+        self.table = {tok: np.asarray(v, dtype=np.float64) for tok, v in table.items()}
+        self.dim = len(next(iter(self.table.values())))
+
+    def embed_image(self, image):
+        raise NotImplementedError
+
+    def embed_text(self, text):
+        return EmbeddingVector(self.table[text])
+
+
+class TestMoverScoreRange:
+    """Unit-vector Euclidean costs lie in [0, 2], so the score lies in [-1, 1]."""
+
+    def test_identical_distributions_score_one(self):
+        provider = TableProvider({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        assert mover_score(toks("a", "b", "a"), toks("b", "a", "a"), provider) == 1.0
+
+    def test_antipodal_tokens_score_minus_one(self):
+        provider = TableProvider({"up": [0.0, 3.0], "down": [0.0, -0.5]})
+        assert mover_score(toks("up"), toks("down"), provider) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_random_token_sets_stay_in_range(self):
+        rng = np.random.default_rng(16)
+        vectors = rng.standard_normal((6, 3))
+        # each token's antipode is in the table too, so costs reach 2
+        table = {f"t{i}": v for i, v in enumerate(vectors)}
+        table.update({f"-t{i}": -v for i, v in enumerate(vectors)})
+        provider = TableProvider(table)
+        names = sorted(table)
+        scores = []
+        for _ in range(60):
+            cand = toks(*rng.choice(names, size=rng.integers(1, 6)))
+            ref = toks(*rng.choice(names, size=rng.integers(1, 6)))
+            scores.append(mover_score(cand, ref, provider))
+        # the LP solution may overshoot the exact optimum by rounding only
+        assert all(-1.0 - 1e-9 <= s <= 1.0 + 1e-9 for s in scores)
+        assert min(scores) < 0.0
 
 
 class TestClassificationAccuracy:
