@@ -1,4 +1,4 @@
-"""Chat/vision backends: HTTP client, offline deterministic mock, test double.
+"""Chat/vision backends: HTTP client and offline deterministic mock.
 
 The hosted models are interchangeable; everything model-specific stays
 behind the ChatBackend contract. The offline backend answers any pipeline
@@ -12,7 +12,7 @@ import os
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import requests
 
@@ -39,10 +39,6 @@ class TokenUsage:
 
     def __add__(self, other: "TokenUsage") -> "TokenUsage":
         return TokenUsage(self.prompt + other.prompt, self.completion + other.completion)
-
-    @property
-    def total(self) -> int:
-        return self.prompt + self.completion
 
     def to_json(self) -> dict:
         return {"prompt": self.prompt, "completion": self.completion}
@@ -151,31 +147,6 @@ class HttpChatBackend(ChatBackend):
             return ChatResponse(content=content, usage=TokenUsage(*counts))
         except (ValueError, KeyError, TypeError) as exc:
             raise BackendUnavailableError(f"malformed chat response: {exc}") from exc
-
-
-class ScriptedChatBackend(ChatBackend):
-    """Replies from a fixed queue; records every request. Test double."""
-
-    def __init__(
-        self,
-        replies: Iterable[str] = (),
-        name: str = "scripted",
-        supports_images: bool = True,
-    ):
-        self._replies = list(replies)
-        self.name = name
-        self.supports_images = supports_images
-        self.requests: list[ChatRequest] = []
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        self.requests.append(request)
-        if not self._replies:
-            raise BackendUnavailableError(f"scripted backend {self.name!r} ran out of replies")
-        content = self._replies.pop(0)
-        return ChatResponse(
-            content=content,
-            usage=TokenUsage(prompt=_request_tokens(request), completion=_approx_tokens(content)),
-        )
 
 
 _PREDICTION_LINE_RE = re.compile(r"(?m)^- (.+?) \(distance=")

@@ -22,7 +22,6 @@ from .errors import (
     CorruptFileError,
     DimensionMismatchError,
     EmptyInputError,
-    IoFailureError,
     ProviderMismatchError,
 )
 
@@ -42,13 +41,8 @@ class RankedPrediction:
 
     entries: tuple[tuple[str, float], ...]
 
-    @property
-    def top_label(self) -> str:
-        return self.entries[0][0]
-
-    def labels(self, k: int | None = None) -> tuple[str, ...]:
-        picked = self.entries if k is None else self.entries[:k]
-        return tuple(label for label, _ in picked)
+    def labels(self) -> tuple[str, ...]:
+        return tuple(label for label, _ in self.entries)
 
 
 class ClassifierModel:
@@ -164,10 +158,7 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
         chunks.append(raw)
         chunks.append(struct.pack("<I", proto.support_count))
         chunks.append(proto.mean.values.astype("<f8").tobytes())
-    try:
-        atomic_write_bytes(path, b"".join(chunks))
-    except OSError as exc:
-        raise IoFailureError(f"cannot write model file: {exc}") from exc
+    atomic_write_bytes(path, b"".join(chunks))
 
 
 class _Reader:
@@ -191,26 +182,27 @@ class _Reader:
 
 def load_model(path: str | Path, expected_provider: str | None = None) -> ClassifierModel:
     """Load a persisted model, refusing embeddings from a different provider."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailureError(f"cannot read model file: {exc}") from exc
+    data = Path(path).read_bytes()
     r = _Reader(data)
     if r.take(len(_MAGIC)) != _MAGIC:
         raise CorruptFileError("not a classifier model file (bad magic)")
-    dim = r.u32()
-    provider_name = r.take(r.u16()).decode("utf-8")
-    count = r.u32()
-    protos = []
-    for _ in range(count):
-        label = r.take(r.u16()).decode("utf-8")
-        support = r.u32()
-        values = np.frombuffer(r.take(8 * dim), dtype="<f8").astype(np.float64)
-        protos.append(Prototype(label=label, mean=EmbeddingVector(values), support_count=support))
-    if r.pos != len(data):
-        raise CorruptFileError("trailing bytes after model records")
-    if expected_provider is not None and provider_name != expected_provider:
-        raise ProviderMismatchError(
-            f"model was built with provider {provider_name!r}, queried with {expected_provider!r}"
-        )
-    return ClassifierModel(protos, dim=dim, provider_name=provider_name)
+    try:
+        dim = r.u32()
+        provider_name = r.take(r.u16()).decode("utf-8")
+        count = r.u32()
+        protos = []
+        for _ in range(count):
+            label = r.take(r.u16()).decode("utf-8")
+            support = r.u32()
+            values = np.frombuffer(r.take(8 * dim), dtype="<f8").astype(np.float64)
+            protos.append(Prototype(label=label, mean=EmbeddingVector(values), support_count=support))
+        if r.pos != len(data):
+            raise CorruptFileError("trailing bytes after model records")
+        if expected_provider is not None and provider_name != expected_provider:
+            raise ProviderMismatchError(
+                f"model was built with provider {provider_name!r}, queried with {expected_provider!r}"
+            )
+        return ClassifierModel(protos, dim=dim, provider_name=provider_name)
+    except ValueError as exc:
+        # text that is not UTF-8, NaN values, duplicate labels, a support count of 0
+        raise CorruptFileError(f"model file is invalid: {exc}") from exc

@@ -348,11 +348,10 @@ def write_manifest(corpus: Corpus, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_manifest(path: str | Path, vocabulary: frozenset[str] | None = None) -> Corpus:
+def read_manifest(path: str | Path) -> Corpus:
     """Load a manifest written by :func:`write_manifest`.
 
-    When no vocabulary file is supplied, the vocabulary is recovered as the
-    union of labels seen in the manifest.
+    The vocabulary is recovered as the union of labels seen in the manifest.
     """
     characters: list[CharacterRecord] = []
     components: list[ComponentRecord] = []
@@ -390,11 +389,10 @@ def read_manifest(path: str | Path, vocabulary: frozenset[str] | None = None) ->
                 raise MalformedInputError(f"{where}: unknown record kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"{where}: malformed {kind} record: {exc!r}") from exc
-    if vocabulary is None:
-        vocabulary = frozenset(c.label for c in components) | frozenset(
-            label for char in characters for label in char.component_labels
-        )
-    return Corpus(tuple(characters), tuple(components), frozenset(vocabulary))
+    vocabulary = frozenset(c.label for c in components) | frozenset(
+        label for char in characters for label in char.component_labels
+    )
+    return Corpus(tuple(characters), tuple(components), vocabulary)
 
 
 def ingest_directory(

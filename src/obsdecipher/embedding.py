@@ -1,9 +1,8 @@
-"""Embedding providers and vector arithmetic.
+"""Embedding providers and the vector type they return.
 
 The image encoder itself is an external backend: this module defines the
 provider contract, a deterministic offline stub used throughout the test
-suite, an HTTP client for a hosted encoder, and double-precision cosine
-similarity.
+suite, and an HTTP client for a hosted encoder.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import requests
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    ProviderUnavailableError,
-    ZeroNormError,
-)
+from .errors import DimensionMismatchError, EmptyInputError, ProviderUnavailableError
 
 DEFAULT_DIM = 768
 
@@ -56,9 +50,6 @@ class EmbeddingVector:
 
     def __hash__(self):
         return hash(self.values.tobytes())
-
-    def tolist(self) -> list[float]:
-        return self.values.tolist()
 
 
 class EmbeddingProvider(ABC):
@@ -208,15 +199,3 @@ def provider_from_env() -> EmbeddingProvider:
     if url:
         return RemoteEmbeddingProvider(url)
     return StubEmbeddingProvider()
-
-
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine of the angle between two nonzero vectors, clamped to [-1, 1]."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    na = float(np.linalg.norm(a.values))
-    nb = float(np.linalg.norm(b.values))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("cosine similarity undefined for zero-norm vector")
-    value = float(np.dot(a.values, b.values) / (na * nb))
-    return max(-1.0, min(1.0, value))

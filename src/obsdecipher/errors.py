@@ -78,16 +78,8 @@ class NotFoundError(ObsError):
         self.key = key
 
 
-class IoFailureError(ObsError):
-    """Filesystem read/write failed."""
-
-
 class CorruptFileError(ObsError):
     """Persisted file is truncated or fails its integrity check."""
-
-
-class GraphUnavailableError(ObsError):
-    """Retrieval was asked to run without a loaded graph."""
 
 
 # --- inference ------------------------------------------------------------
@@ -98,9 +90,7 @@ class BackendUnavailableError(ObsError):
     ``agent`` identifies which agent failed in multi-agent mode.
     """
 
-    def __init__(self, message: str, agent: str | None = None):
-        super().__init__(message)
-        self.agent = agent
+    agent: str | None = None
 
 
 class UnparseableResponseError(ObsError):
@@ -126,10 +116,6 @@ class TemplateError(ObsError):
 
 class ProblemTooLargeError(ObsError):
     """Exact transport solver limit exceeded."""
-
-
-class LengthMismatchError(ObsError):
-    """Paired sequences have different lengths."""
 
 
 class IncompleteMatrixError(ObsError):

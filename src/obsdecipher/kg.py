@@ -17,12 +17,7 @@ from typing import Iterable, Mapping
 
 from ._io import atomic_write_text
 from .dataset import Corpus
-from .errors import (
-    CorruptFileError,
-    InconsistentCorpusError,
-    IoFailureError,
-    NotFoundError,
-)
+from .errors import CorruptFileError, InconsistentCorpusError, NotFoundError
 
 
 class NodeKind(str, Enum):
@@ -179,15 +174,6 @@ class KnowledgeGraph:
             raise NotFoundError("character", character_id)
         return self._modern.get(character_id)
 
-    # --- equality ------------------------------------------------------------
-
-    def structurally_equal(self, other: "KnowledgeGraph") -> bool:
-        return (
-            self.nodes == other.nodes
-            and set(self.edges) == set(other.edges)
-            and self.source_split == other.source_split
-        )
-
 
 def build_graph(
     train_corpus: Corpus,
@@ -319,30 +305,25 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     )
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     lines.append(json.dumps({"t": "checksum", "sha256": digest}, sort_keys=True))
-    try:
-        atomic_write_text(path, "\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailureError(f"cannot write graph file: {exc}") from exc
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
-    """Load and verify a graph file; checksum mismatch raises CorruptFileError."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailureError(f"cannot read graph file: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
+    """Load and verify a graph file; a checksum mismatch or a line that is
+    not a graph record raises CorruptFileError."""
+    # split the bytes: str.splitlines also breaks at U+2028 and U+0085,
+    # which JSON leaves unescaped inside an explanation
+    lines = [line for line in Path(path).read_bytes().splitlines() if line.strip()]
     if not lines:
         raise CorruptFileError("graph file is empty")
     try:
         last = json.loads(lines[-1])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CorruptFileError(f"graph file checksum line unreadable: {exc}") from exc
-    if last.get("t") != "checksum":
+    if not isinstance(last, dict) or last.get("t") != "checksum":
         raise CorruptFileError("graph file has no trailing checksum line")
     body = lines[:-1]
-    digest = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
-    if digest != last.get("sha256"):
+    if hashlib.sha256(b"\n".join(body)).hexdigest() != last.get("sha256"):
         raise CorruptFileError("graph file checksum mismatch")
 
     source_split = ""
@@ -350,26 +331,27 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
     edges: list[Edge] = []
     for lineno, line in enumerate(body, 1):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorruptFileError(f"graph file line {lineno} unreadable: {exc}") from exc
-        t = rec.get("t")
-        if t == "meta":
-            source_split = rec.get("source_split", "")
-        elif t == "node":
-            nodes.append(
-                Node(
-                    node_id=rec["id"],
-                    kind=NodeKind(rec["kind"]),
-                    label=rec["label"],
-                    explanation=rec.get("explanation", ""),
-                    attributes=tuple(sorted(rec.get("attributes", {}).items())),
+            rec = json.loads(line.decode("utf-8"))
+            t = rec.get("t")
+            if t == "meta":
+                source_split = rec.get("source_split", "")
+            elif t == "node":
+                nodes.append(
+                    Node(
+                        node_id=rec["id"],
+                        kind=NodeKind(rec["kind"]),
+                        label=rec["label"],
+                        explanation=rec.get("explanation", ""),
+                        attributes=tuple(sorted(rec.get("attributes", {}).items())),
+                    )
                 )
-            )
-        elif t == "edge":
-            edges.append(
-                Edge(src=rec["from"], dst=rec["to"], relation=Relation(rec["relation"]))
-            )
-        else:
-            raise CorruptFileError(f"graph file line {lineno} has unknown type {t!r}")
+            elif t == "edge":
+                edges.append(
+                    Edge(src=rec["from"], dst=rec["to"], relation=Relation(rec["relation"]))
+                )
+            else:
+                raise CorruptFileError(f"graph file line {lineno} has unknown type {t!r}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # not UTF-8 or not JSON, not an object, a missing key, an unknown kind
+            raise CorruptFileError(f"graph file line {lineno} is malformed: {exc!r}") from exc
     return KnowledgeGraph(nodes, edges, source_split=source_split)

@@ -1,4 +1,4 @@
-"""Text-similarity metrics and classification accuracy.
+"""Text-similarity metrics.
 
 Tokenization is character-level for Chinese and lowercased whitespace
 splitting for English. The embedding-based scores use per-token embeddings
@@ -17,12 +17,7 @@ from scipy import optimize
 
 from .backends import ChatBackend, ChatMessage, ChatRequest
 from .embedding import EmbeddingProvider, embed_text
-from .errors import (
-    EmptyInputError,
-    LengthMismatchError,
-    ProblemTooLargeError,
-    ZeroNormError,
-)
+from .errors import EmptyInputError, ProblemTooLargeError, ZeroNormError
 from .inference import parse_model_response
 from .templates import load_template
 
@@ -154,15 +149,6 @@ def _exact_transport_cost(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> flo
     if not result.success:
         raise RuntimeError(f"transport solver failed: {result.message}")
     return float(result.fun)
-
-
-def classification_accuracy(predicted, gold) -> float:
-    """Exact-match fraction over aligned label sequences."""
-    if len(predicted) != len(gold):
-        raise LengthMismatchError(f"{len(predicted)} predicted vs {len(gold)} gold")
-    if not predicted:
-        raise EmptyInputError("no predictions to score")
-    return sum(1 for a, b in zip(predicted, gold) if a == b) / len(predicted)
 
 
 def llm_judge(backend: ChatBackend, candidate: str, reference: str) -> float:

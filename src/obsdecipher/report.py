@@ -10,14 +10,7 @@ from .dataset import CharacterRecord
 from .embedding import EmbeddingProvider
 from .errors import AlignmentError, ConfigError
 from .inference import InterpretationResult
-from .metrics import (
-    classification_accuracy,
-    embedding_f1,
-    llm_judge,
-    mover_score,
-    rouge1_f1,
-    tokenize,
-)
+from .metrics import embedding_f1, llm_judge, mover_score, rouge1_f1, tokenize
 
 KNOWN_METRICS = ("rouge1", "embedding_f1", "mover", "judge", "type_acc")
 
@@ -75,7 +68,6 @@ def evaluate_run(
         raise ConfigError("judge metric requires a chat backend")
 
     per_item: list[dict] = []
-    type_pairs: list[tuple[str, str]] = []
     for result in results:
         record = gold_by_id.get(result.character_ref)
         if record is None:
@@ -92,7 +84,6 @@ def evaluate_run(
         if "judge" in config.metrics:
             scores["judge"] = llm_judge(judge_backend, result.interpretation, record.interpretation)
         if "type_acc" in config.metrics and record.inscription_type and result.inscription_type:
-            type_pairs.append((result.inscription_type.value, record.inscription_type))
             scores["type_match"] = float(
                 result.inscription_type.value == record.inscription_type
             )
@@ -103,10 +94,9 @@ def evaluate_run(
     for name in metric_names:
         values = [item["scores"][name] for item in per_item if name in item["scores"]]
         aggregate[name] = sum(values) / len(values)
-    if type_pairs:
-        aggregate["type_acc"] = classification_accuracy(
-            [a for a, _ in type_pairs], [b for _, b in type_pairs]
-        )
+    if "type_match" in aggregate:
+        # the share of exact type matches: the mean of the 0/1 type_match scores
+        aggregate["type_acc"] = aggregate["type_match"]
 
     metadata = {
         "lang": config.lang,

@@ -10,18 +10,17 @@ near-duplicate queries in a workload are served without touching the graph.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .classifier import RankedPrediction
 from .embedding import EmbeddingProvider, EmbeddingVector, embed_text
-from .errors import ConfigError, GraphUnavailableError, NotFoundError, ZeroNormError
+from .errors import ConfigError, NotFoundError, ZeroNormError
 from .kg import KnowledgeGraph
 
 
@@ -85,18 +84,6 @@ class EvidenceItem:
             doc["co_components"] = list(self.co_components)
         return doc
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "EvidenceItem":
-        return cls(
-            kind=EvidenceKind(doc["kind"]),
-            subject=doc["subject"],
-            content=doc["content"],
-            source=EvidenceSource(doc["source"]),
-            rank=int(doc.get("rank", 0)),
-            empty=bool(doc.get("empty", False)),
-            co_components=tuple(doc.get("co_components", ())),
-        )
-
 
 @dataclass(frozen=True)
 class EvidenceBundle:
@@ -123,25 +110,6 @@ class EvidenceBundle:
             "min_evidence": self.min_evidence,
         }
 
-    def serialize(self) -> str:
-        return json.dumps(self.to_json(), ensure_ascii=False, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "EvidenceBundle":
-        return cls(
-            character_ref=doc["character_ref"],
-            predicted_components=tuple(
-                (label, float(dist)) for label, dist in doc.get("predicted_components", ())
-            ),
-            items=tuple(EvidenceItem.from_json(d) for d in doc.get("items", ())),
-            trace=tuple(
-                ToolCall(ToolName(c["tool"]), c["argument"], int(c["issued_at"]))
-                for c in doc.get("trace", ())
-            ),
-            sufficient=bool(doc["sufficient"]),
-            min_evidence=int(doc.get("min_evidence", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class RetrievalConfig:
@@ -149,17 +117,13 @@ class RetrievalConfig:
     min_evidence: int = 3
     max_items: int = 12
     cache_threshold: float = 0.95
-    cache_capacity: int = 1024
+    cache_capacity: int = 1024  # checked, with the threshold, by SemanticCache
 
     def __post_init__(self):
         if self.top_m < 1:
             raise ConfigError("top_m must be >= 1")
         if self.min_evidence < 0 or self.max_items < 1:
             raise ConfigError("min_evidence must be >= 0 and max_items >= 1")
-        if not (0.0 < self.cache_threshold <= 1.0):
-            raise ConfigError("cache_threshold must be in (0, 1]")
-        if self.cache_capacity < 0:
-            raise ConfigError("cache_capacity must be >= 0")
 
 
 class SemanticCache:
@@ -461,8 +425,6 @@ def retrieve_evidence(
     ``planned_calls`` lets an agent-produced plan replace the fixed stage-1
     schedule; stage 2 and the synthesis step are identical either way.
     """
-    if graph is None:
-        raise GraphUnavailableError("no knowledge graph loaded")
     if not predicted.entries:
         raise ValueError("predicted components must be non-empty")
 

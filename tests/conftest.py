@@ -2,8 +2,16 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from obsdecipher.backends import (
+    ChatBackend,
+    ChatResponse,
+    TokenUsage,
+    _approx_tokens,
+    _request_tokens,
+)
 from obsdecipher.dataset import (
     CharacterRecord,
     ComponentRecord,
@@ -11,6 +19,7 @@ from obsdecipher.dataset import (
     INSCRIPTION_TYPES,
 )
 from obsdecipher.embedding import StubEmbeddingProvider
+from obsdecipher.errors import BackendUnavailableError, DimensionMismatchError, ZeroNormError
 
 LABELS = ("hand", "roof", "water", "sun", "moon", "tree", "mouth", "foot",
           "fire", "bird", "horse", "field")
@@ -26,6 +35,49 @@ def stub64():
 @pytest.fixture(scope="session")
 def stub768():
     return StubEmbeddingProvider(dim=768)
+
+
+class ScriptedChatBackend(ChatBackend):
+    """Replies from a fixed queue; records every request."""
+
+    def __init__(self, replies=(), name="scripted", supports_images=True):
+        self._replies = list(replies)
+        self.name = name
+        self.supports_images = supports_images
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        if not self._replies:
+            raise BackendUnavailableError(f"scripted backend {self.name!r} ran out of replies")
+        content = self._replies.pop(0)
+        return ChatResponse(
+            content=content,
+            usage=TokenUsage(prompt=_request_tokens(request), completion=_approx_tokens(content)),
+        )
+
+
+def cosine_similarity(a, b):
+    """Cosine of the angle between two nonzero vectors, clamped to [-1, 1]."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    na = float(np.linalg.norm(a.values))
+    nb = float(np.linalg.norm(b.values))
+    if na == 0.0 or nb == 0.0:
+        raise ZeroNormError("cosine similarity undefined for zero-norm vector")
+    value = float(np.dot(a.values, b.values) / (na * nb))
+    return max(-1.0, min(1.0, value))
+
+
+def structurally_equal(a, b):
+    """Same nodes, same edge set and same provenance: graph equality up to
+    edge order."""
+    return a.nodes == b.nodes and set(a.edges) == set(b.edges) and a.source_split == b.source_split
+
+
+def canonical_json(bundle):
+    """An evidence bundle as sorted, unescaped JSON, for byte comparisons."""
+    return json.dumps(bundle.to_json(), ensure_ascii=False, sort_keys=True)
 
 
 def build_fixture_corpus(n_characters=20, n_labels=12, seed=0, with_metadata=True):

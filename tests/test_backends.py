@@ -163,7 +163,7 @@ def test_concurrency_is_the_only_limit_on_hosted_calls(tmp_path, monkeypatch):
                 vec = stub.embed_image(base64.b64decode(body["data"]))
             else:
                 vec = stub.embed_text(body["data"])
-            return {"dim": dim, "values": vec.tolist()}
+            return {"dim": dim, "values": vec.values.tolist()}
         request = ChatRequest(
             messages=tuple(
                 ChatMessage(m["role"], m.get("content", ""), m.get("image_b64"))

@@ -1,12 +1,12 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
 from obsdecipher.classifier import (
     ClassifierModel,
-    Prototype,
     build_prototypes,
     classify_topk,
     evaluate_topk,
@@ -191,6 +191,26 @@ class TestPersistence:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 5])
         with pytest.raises(CorruptFileError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [(b"a", 1, (float("nan"), 0.0))],
+            [(b"a", 1, (1.0, 0.0)), (b"a", 2, (0.0, 1.0))],
+            [(b"a", 0, (1.0, 0.0))],
+            [(b"\xff\xfe", 1, (1.0, 0.0))],
+        ],
+        ids=["nan_values", "duplicate_labels", "zero_support", "label_not_utf8"],
+    )
+    def test_invalid_records_are_corrupt(self, tmp_path, records):
+        # the persisted layout, written record by record
+        chunks = [b"OBSPROTO\x00\x01", struct.pack("<IH", 2, 4), b"stub", struct.pack("<I", len(records))]
+        for label, support, values in records:
+            chunks += [struct.pack("<H", len(label)), label, struct.pack("<I2d", support, *values)]
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"".join(chunks))
+        with pytest.raises(CorruptFileError, match="model file is invalid"):
             load_model(path)
 
     def test_bad_magic(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 from pathlib import Path
 
@@ -214,6 +215,9 @@ def test_output_in_missing_directory_is_domain_error(runner, tmp_path, command):
     result = runner.invoke(main, _missing_dir_command(runner, command, tmp_path, missing))
     assert result.exit_code == 1
     assert "FileNotFoundError" in result.output
+    # the target the user gave, not the writer's hidden temp file beside it
+    assert f"{missing}{os.sep}" in result.output
+    assert f"{missing}{os.sep}." not in result.output
     assert isinstance(result.exception, SystemExit)
     assert not missing.exists()
 

@@ -9,7 +9,6 @@ from obsdecipher.embedding import (
     EmbeddingVector,
     RemoteEmbeddingProvider,
     StubEmbeddingProvider,
-    cosine_similarity,
     embed_image,
     embed_text,
     provider_from_env,
@@ -20,6 +19,8 @@ from obsdecipher.errors import (
     ProviderUnavailableError,
     ZeroNormError,
 )
+
+from conftest import cosine_similarity
 
 
 def vec(*values):
@@ -141,7 +142,7 @@ class TestRemoteProvider:
         monkeypatch.setattr(emb.requests, "post", fake_post)
         provider = RemoteEmbeddingProvider("http://host:9000", dim=4)
         v = embed_text(provider, "hi")
-        assert v.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert v.values.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_wrong_length_is_dimension_mismatch(self, monkeypatch):
         monkeypatch.setattr(

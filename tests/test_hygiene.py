@@ -8,6 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "obsdecipher"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -47,7 +48,9 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}"
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree) | _exported(tree)
@@ -83,38 +86,57 @@ def _references(tree: ast.Module) -> set[str]:
 
 
 def _definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level function, class and constant names -> line number.
+    """Module-level function, class and constant names, and the methods,
+    properties and classmethods of module-level classes -> line number.
 
-    Dunder names and click commands (registered by their decorator, never
-    called by name) are left out.
+    A method is keyed ``Class.method`` and counts as used when any attribute
+    of that name is read. Dunder names and click commands (registered by
+    their decorator, never called by name) are left out.
     """
     defined: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not any(".command(" in ast.unparse(d) for d in node.decorator_list):
                 defined[node.name] = node.lineno
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name):
+                        defined[f"{node.name}.{member.name}"] = member.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
                     defined[target.id] = node.lineno
-    return {n: line for n, line in defined.items() if not (n.startswith("__") and n.endswith("__"))}
+    return {n: line for n, line in defined.items() if not _is_dunder(n)}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _dead(defined: dict[str, int], referenced: set[str]) -> dict[str, int]:
+    """The definitions whose own name (a method's, for ``Class.method``)
+    nothing references."""
+    return {n: line for n, line in defined.items() if n.rsplit(".", 1)[-1] not in referenced}
 
 
 def test_no_dead_definitions():
-    trees = [
+    """Only the package and the benchmark count as users: a definition that
+    nothing but the tests reaches belongs in the tests, or nowhere."""
+    users = [
         ast.parse(path.read_text(encoding="utf-8"))
-        for folder in ("src", "tests", "perfbench")
+        for folder in ("src", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
-    referenced = set().union(*map(_references, trees))
+    referenced = set().union(*map(_references, users))
     dead = sorted(
         f"{path.name}: {name} (line {line})"
         for path in SOURCES
-        for name, line in _definitions(ast.parse(path.read_text(encoding="utf-8"))).items()
-        if name not in referenced
+        for name, line in _dead(
+            _definitions(ast.parse(path.read_text(encoding="utf-8"))), referenced
+        ).items()
     )
-    assert not dead, f"defined but never referenced: {dead}"
+    assert not dead, f"defined but never referenced from src/ or perfbench/: {dead}"
 
 
 def test_dead_definition_checker_ignores_the_definition_itself():
@@ -123,7 +145,12 @@ def test_dead_definition_checker_ignores_the_definition_itself():
         "def helper():\n    return 1\n"
         "@main.command()\ndef cmd():\n    pass\n"
         "class Gone:\n    pass\n__all__ = []\n"
+        "class Kept:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def read(self):\n        return self.size\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    @classmethod\n    def build(cls):\n        return cls()\n"
+        "Kept().read()\n"
     )
-    refs = _references(tree)
-    dead = {name for name in _definitions(tree) if name not in refs}
-    assert dead == {"USED", "helper", "Gone"}
+    dead = set(_dead(_definitions(tree), _references(tree)))
+    assert dead == {"USED", "helper", "Gone", "Kept.build"}

@@ -5,9 +5,7 @@ import pytest
 from obsdecipher.backends import (
     ChatMessage,
     ChatRequest,
-    ChatResponse,
     OfflineChatBackend,
-    ScriptedChatBackend,
     TokenUsage,
 )
 from obsdecipher.classifier import RankedPrediction
@@ -37,6 +35,7 @@ from obsdecipher.retrieval import (
 from obsdecipher.embedding import StubEmbeddingProvider
 from obsdecipher.templates import load_template, render_evidence, render_predictions
 
+from conftest import ScriptedChatBackend
 from test_retrieval import mini_graph
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -327,8 +326,10 @@ class TestMultiAgent:
             retriever, reasoner, self.graph, PREDICTED, self.cache,
             RetrievalConfig(), lang="zh",
         )
-        ratio = multi.token_usage.total / vlm.token_usage.total
-        assert ratio > 1.0
+        def total(usage):
+            return usage.prompt + usage.completion
+
+        assert total(multi.token_usage) / total(vlm.token_usage) > 1.0
 
 
 class _CountingOfflineBackend(OfflineChatBackend):

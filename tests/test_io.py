@@ -8,7 +8,6 @@ from obsdecipher._io import atomic_write_text
 from obsdecipher.classifier import build_prototypes, save_model
 from obsdecipher.dataset import write_manifest
 from obsdecipher.embedding import StubEmbeddingProvider
-from obsdecipher.errors import IoFailureError
 from obsdecipher.kg import build_graph, save_graph
 from obsdecipher.pipeline import write_json
 
@@ -28,34 +27,30 @@ def _graph(n_characters):
 
 
 WRITERS = {
-    # name -> (write the first version, write a second version, its error)
+    # name -> (write the first version, write a second version)
     "save_model": (
         lambda path: save_model(_model(["hand", "roof"]), path),
         lambda path: save_model(_model(["hand", "roof", "water"]), path),
-        IoFailureError,
     ),
     "save_graph": (
         lambda path: save_graph(_graph(4), path),
         lambda path: save_graph(_graph(6), path),
-        IoFailureError,
     ),
     # results, evidence and the run manifest, and the reports of the CLI
     "write_json": (
         lambda path: write_json(path, {"character_ref": "char0000", "interpretation": "first"}),
         lambda path: write_json(path, {"character_ref": "char0000", "interpretation": "second"}),
-        OSError,
     ),
     "write_manifest": (
         lambda path: write_manifest(build_fixture_corpus(n_characters=3, n_labels=4), path),
         lambda path: write_manifest(build_fixture_corpus(n_characters=5, n_labels=4), path),
-        OSError,
     ),
 }
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_failed_rename_keeps_the_previous_file(tmp_path, monkeypatch, writer):
-    write_first, write_second, error = WRITERS[writer]
+    write_first, write_second = WRITERS[writer]
     target = tmp_path / "artifact"
     write_first(target)
     before = target.read_bytes()
@@ -64,10 +59,18 @@ def test_failed_rename_keeps_the_previous_file(tmp_path, monkeypatch, writer):
         raise OSError("rename refused")
 
     monkeypatch.setattr("obsdecipher._io.os.replace", refuse)
-    with pytest.raises(error):
+    with pytest.raises(OSError, match="rename refused"):
         write_second(target)
     assert target.read_bytes() == before
     assert list(tmp_path.glob(f".{target.name}.*")) == []
+
+
+def test_missing_directory_is_reported_under_the_target_name(tmp_path):
+    target = tmp_path / "nodir" / "a.ldjson"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_model(_model(["hand"]), target)
+    assert exc.value.filename == str(target)
+    assert "/.a.ldjson." not in str(exc.value)
 
 
 def test_artifact_mode_follows_the_umask(tmp_path):

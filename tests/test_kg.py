@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from obsdecipher.kg import (
     save_graph,
 )
 
-from conftest import TRIANGLE, build_fixture_corpus, fixture_explanations
+from conftest import TRIANGLE, build_fixture_corpus, fixture_explanations, structurally_equal
 
 
 def one_char_corpus():
@@ -172,13 +173,13 @@ class TestPersistence:
         graph = KnowledgeGraph([], [], source_split="empty")
         path = tmp_path / "g.ldjson"
         save_graph(graph, path)
-        assert load_graph(path).structurally_equal(graph)
+        assert structurally_equal(load_graph(path), graph)
 
     def test_fixture_round_trip(self, tmp_path, fixture_graph):
         path = tmp_path / "g.ldjson"
         save_graph(fixture_graph, path)
         loaded = load_graph(path)
-        assert loaded.structurally_equal(fixture_graph)
+        assert structurally_equal(loaded, fixture_graph)
         # explanations preserved exactly
         for node_id, node in fixture_graph.nodes.items():
             assert loaded.nodes[node_id].explanation == node.explanation
@@ -189,7 +190,7 @@ class TestPersistence:
         assert len(graph.nodes) >= 400
         path = tmp_path / "big.ldjson"
         save_graph(graph, path)
-        assert load_graph(path).structurally_equal(graph)
+        assert structurally_equal(load_graph(path), graph)
 
     def test_truncated_file(self, tmp_path, fixture_graph):
         path = tmp_path / "g.ldjson"
@@ -205,6 +206,39 @@ class TestPersistence:
         text = path.read_text(encoding="utf-8").replace("char0001", "charXXXX", 1)
         path.write_text(text, encoding="utf-8")
         with pytest.raises(CorruptFileError):
+            load_graph(path)
+
+    def test_line_separators_in_an_explanation_round_trip(self, tmp_path):
+        # JSON leaves U+2028 and U+0085 unescaped; str.splitlines breaks at them
+        explanation = "象手之形\u2028表持握义\x85又"
+        graph = KnowledgeGraph([Node(component_node_id("hand"), NodeKind.COMPONENT, "hand", explanation)], [])
+        path = tmp_path / "g.ldjson"
+        save_graph(graph, path)
+        assert load_graph(path).component_explanation("hand")["explanation"] == explanation
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            b'{"kind": "Component", "label": "hand", "t": "node"}',
+            b'{"id": "component:hand", "kind": "Radical", "label": "hand", "t": "node"}',
+            b'["node", "component:hand"]',
+            b'{"id": "component:\xff", "kind": "Component", "label": "\xff", "t": "node"}',
+        ],
+        ids=["node_without_id", "unknown_kind", "record_is_a_list", "not_utf8"],
+    )
+    def test_checksummed_but_malformed_line_is_corrupt(self, tmp_path, node):
+        body = [b'{"source_split": "", "t": "meta"}', node]
+        checksum = {"t": "checksum", "sha256": hashlib.sha256(b"\n".join(body)).hexdigest()}
+        path = tmp_path / "g.ldjson"
+        path.write_bytes(b"\n".join(body + [json.dumps(checksum).encode("utf-8")]) + b"\n")
+        # the checksum matches, so only the line itself can be at fault
+        with pytest.raises(CorruptFileError, match="graph file line 2 is malformed"):
+            load_graph(path)
+
+    def test_checksum_line_must_be_an_object(self, tmp_path):
+        path = tmp_path / "g.ldjson"
+        path.write_bytes(b'{"source_split": "", "t": "meta"}\n[1]\n')
+        with pytest.raises(CorruptFileError, match="no trailing checksum line"):
             load_graph(path)
 
     def test_edge_kind_validation(self):

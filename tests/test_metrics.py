@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from obsdecipher.backends import ScriptedChatBackend
 from obsdecipher.embedding import (
     EmbeddingProvider,
     EmbeddingVector,
@@ -17,13 +16,11 @@ from obsdecipher.embedding import (
 )
 from obsdecipher.errors import (
     EmptyInputError,
-    LengthMismatchError,
     ProblemTooLargeError,
     UnparseableResponseError,
 )
 from obsdecipher.metrics import (
     TokenSequence,
-    classification_accuracy,
     embedding_f1,
     llm_judge,
     mover_score,
@@ -31,6 +28,8 @@ from obsdecipher.metrics import (
     tokenize,
 )
 from obsdecipher.templates import load_template
+
+from conftest import ScriptedChatBackend, cosine_similarity
 
 
 def toks(*tokens):
@@ -94,8 +93,6 @@ class TestEmbeddingF1:
         assert embedding_f1(s, s, provider) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_token_reduces_to_cosine(self, provider):
-        from obsdecipher.embedding import cosine_similarity
-
         a, b = toks("手"), toks("持")
         want = cosine_similarity(embed_text(provider, "手"), embed_text(provider, "持"))
         got = embedding_f1(a, b, provider)
@@ -206,23 +203,6 @@ class TestMoverScoreRange:
         # the LP solution may overshoot the exact optimum by rounding only
         assert all(-1.0 - 1e-9 <= s <= 1.0 + 1e-9 for s in scores)
         assert min(scores) < 0.0
-
-
-class TestClassificationAccuracy:
-    def test_all_match(self):
-        assert classification_accuracy(["a", "b"], ["a", "b"]) == 1.0
-
-    def test_none_match(self):
-        assert classification_accuracy(["a", "a"], ["b", "c"]) == 0.0
-
-    def test_three_of_five(self):
-        assert classification_accuracy(
-            ["i", "p", "s", "i", "p"], ["i", "p", "s", "p", "i"]
-        ) == pytest.approx(0.6)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            classification_accuracy(["a"], ["a", "b"])
 
 
 class TestLlmJudge:

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
-from obsdecipher.backends import ScriptedChatBackend, TokenUsage
+from obsdecipher.backends import TokenUsage
 from obsdecipher.dataset import CharacterRecord
 from obsdecipher.embedding import StubEmbeddingProvider
 from obsdecipher.errors import AlignmentError, ConfigError
 from obsdecipher.inference import InscriptionType, InterpretationResult
 from obsdecipher.metrics import embedding_f1, mover_score, rouge1_f1, tokenize
-from obsdecipher.report import EvalConfig, MetricReport, evaluate_run
+from obsdecipher.report import EvalConfig, evaluate_run
+
+from conftest import ScriptedChatBackend
 
 
 def result(ref, interpretation, itype=InscriptionType.IDEOGRAPHIC):
@@ -90,6 +94,43 @@ def test_type_accuracy(provider):
     records = [gold("a", "x", "ideographic"), gold("b", "y", "phono-semantic")]
     report = evaluate_run(results, records, EvalConfig(metrics=("type_acc",)), provider=provider)
     assert report.aggregate["type_acc"] == pytest.approx(0.5)
+
+
+I, P, S = InscriptionType.IDEOGRAPHIC, InscriptionType.PICTOGRAPHIC, InscriptionType.PHONO_SEMANTIC
+
+
+def test_type_accuracy_three_of_five(provider):
+    predicted = [I, P, S, I, P]
+    expected = ["ideographic", "pictographic", "phono-semantic", "pictographic", "ideographic"]
+    refs = [f"c{i}" for i in range(5)]
+    report = evaluate_run(
+        [result(ref, "x", itype) for ref, itype in zip(refs, predicted)],
+        [gold(ref, "x", itype) for ref, itype in zip(refs, expected)],
+        EvalConfig(metrics=("type_acc",)),
+    )
+    assert report.aggregate["type_acc"] == pytest.approx(0.6)
+
+
+def test_type_accuracy_skips_items_without_a_type(provider):
+    results = [result("a", "x", I), result("b", "x", None), result("c", "x", P)]
+    records = [gold("a", "x", "ideographic"), gold("b", "x", "ideographic"), gold("c", "x", None)]
+    report = evaluate_run(results, records, EvalConfig(metrics=("type_acc",)))
+    assert [item["scores"] for item in report.per_item] == [{"type_match": 1.0}, {}, {}]
+    assert report.aggregate == {"type_match": 1.0, "type_acc": 1.0}
+
+
+def test_type_accuracy_is_the_mean_of_the_type_matches(provider):
+    kinds = [I, P, S]
+    rng = random.Random(5)
+    refs = [f"c{i}" for i in range(7)]
+    report = evaluate_run(
+        [result(ref, "x", rng.choice(kinds)) for ref in refs],
+        [gold(ref, "x", rng.choice(kinds).value) for ref in refs],
+        EvalConfig(metrics=("type_acc",)),
+    )
+    matches = [item["scores"]["type_match"] for item in report.per_item]
+    assert report.aggregate["type_acc"] == report.aggregate["type_match"]
+    assert report.aggregate["type_acc"] == int(sum(matches)) / len(matches)
 
 
 def test_unknown_metric_rejected():

@@ -13,7 +13,6 @@ from obsdecipher.embedding import (
     EmbeddingProvider,
     EmbeddingVector,
     StubEmbeddingProvider,
-    cosine_similarity,
     embed_text,
 )
 from obsdecipher.errors import ZeroNormError
@@ -26,6 +25,7 @@ from obsdecipher.retrieval import (
     execute_tool_calls,
 )
 
+from conftest import cosine_similarity
 from test_retrieval import mini_graph
 
 
