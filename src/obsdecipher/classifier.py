@@ -1,10 +1,11 @@
 """Nearest-prototype component classifier.
 
-Each class is represented by the arithmetic mean of its support embeddings;
-queries are ranked by Euclidean distance over an exact full scan of the
-prototypes (OB-Radix has 478 component classes; a scan over a thousand
-prototype rows is one vectorized pass, so no index structure is needed).
-Ties at equal distance break lexicographically by label for reproducibility.
+Each class is represented by the arithmetic mean of its support embeddings,
+held once, as one row of the model's matrix. Queries are ranked by Euclidean
+distance over an exact full scan of the rows (OB-Radix has 478 component
+classes; a scan over a thousand rows is one vectorized pass, so no index
+structure is needed). Ties at equal distance break lexicographically by
+label for reproducibility.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ _MAGIC = b"OBSPROTO\x00\x01"  # versioned model-file magic
 
 
 @dataclass(frozen=True)
-class Prototype:
-    label: str
-    mean: EmbeddingVector
-    support_count: int
-
-
-@dataclass(frozen=True)
 class RankedPrediction:
     """Labels with ascending distances; entries[0] is the predicted class."""
 
@@ -46,43 +40,42 @@ class RankedPrediction:
 
 
 class ClassifierModel:
-    """Immutable label -> prototype map with a dense matrix for scoring."""
+    """Immutable prototype table: strictly increasing ``labels``, a read-only
+    float64 ``matrix`` whose row ``i`` is the prototype of ``labels[i]``, and
+    ``support_counts``. Raises ``ValueError`` on labels out of order or
+    repeated, a support count below 1 or a non-finite value.
+    """
 
     def __init__(
         self,
-        prototypes: Iterable[Prototype],
-        dim: int,
+        labels: Sequence[str],
+        matrix: np.ndarray,
+        support_counts: Sequence[int],
         provider_name: str = "",
     ):
-        protos = sorted(prototypes, key=lambda p: p.label)
-        if len({p.label for p in protos}) != len(protos):
-            raise ValueError("duplicate prototype labels")
-        for p in protos:
-            if p.mean.dim != dim:
-                raise DimensionMismatchError(
-                    f"prototype {p.label!r} has dim {p.mean.dim}, model dim {dim}"
-                )
-            if p.support_count < 1:
-                raise ValueError(f"prototype {p.label!r} has support_count < 1")
-        self.prototypes: dict[str, Prototype] = {p.label: p for p in protos}
-        self.dim = dim
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            raise ValueError("prototype labels are duplicated or out of order")
+        for label, count in zip(labels, support_counts):
+            if count < 1:
+                raise ValueError(f"prototype {label!r} has support_count < 1")
+        if not np.isfinite(matrix).all():
+            raise ValueError("prototype matrix contains NaN or infinite values")
+        matrix.setflags(write=False)
+        self.labels: tuple[str, ...] = tuple(labels)
+        self.matrix = matrix
+        self.support_counts: tuple[int, ...] = tuple(support_counts)
+        self.dim = matrix.shape[1]
         self.provider_name = provider_name
-        self._labels = [p.label for p in protos]
-        self._matrix = (
-            np.stack([p.mean.values for p in protos])
-            if protos
-            else np.empty((0, dim), dtype=np.float64)
-        )
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self.labels)
 
 
 def build_prototypes(
     train: Iterable[tuple[str, EmbeddingVector]],
     provider_name: str = "",
 ) -> ClassifierModel:
-    """Average each class's support embeddings into its prototype."""
+    """Average each class's support embeddings into its prototype row."""
     groups: dict[str, list[np.ndarray]] = {}
     dim: int | None = None
     for label, vec in train:
@@ -95,16 +88,12 @@ def build_prototypes(
         groups.setdefault(label, []).append(vec.values)
     if not groups:
         raise EmptyInputError("no training samples")
-    assert dim is not None
-    protos = [
-        Prototype(
-            label=label,
-            mean=EmbeddingVector(np.mean(np.stack(vectors), axis=0)),
-            support_count=len(vectors),
-        )
-        for label, vectors in groups.items()
-    ]
-    return ClassifierModel(protos, dim=dim, provider_name=provider_name)
+    labels = sorted(groups)
+    matrix = np.empty((len(labels), dim))
+    for row, label in zip(matrix, labels):
+        row[:] = np.mean(np.stack(groups[label]), axis=0)
+    support_counts = [len(groups[label]) for label in labels]
+    return ClassifierModel(labels, matrix, support_counts, provider_name=provider_name)
 
 
 def classify_topk(model: ClassifierModel, query: EmbeddingVector, k: int) -> RankedPrediction:
@@ -115,8 +104,8 @@ def classify_topk(model: ClassifierModel, query: EmbeddingVector, k: int) -> Ran
         raise DimensionMismatchError(f"query dim {query.dim}, model dim {model.dim}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    dists = np.linalg.norm(model._matrix - query.values, axis=1)
-    ranked = sorted(zip(model._labels, dists.tolist()), key=lambda e: (e[1], e[0]))
+    dists = np.linalg.norm(model.matrix - query.values, axis=1)
+    ranked = sorted(zip(model.labels, dists.tolist()), key=lambda e: (e[1], e[0]))
     return RankedPrediction(entries=tuple(ranked[: min(k, len(ranked))]))
 
 
@@ -151,13 +140,12 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
     chunks.append(struct.pack("<H", len(name)))
     chunks.append(name)
     chunks.append(struct.pack("<I", len(model)))
-    for label in model._labels:
-        proto = model.prototypes[label]
+    for label, support_count, row in zip(model.labels, model.support_counts, model.matrix):
         raw = label.encode("utf-8")
         chunks.append(struct.pack("<H", len(raw)))
         chunks.append(raw)
-        chunks.append(struct.pack("<I", proto.support_count))
-        chunks.append(proto.mean.values.astype("<f8").tobytes())
+        chunks.append(struct.pack("<I", support_count))
+        chunks.append(row.astype("<f8").tobytes())
     atomic_write_bytes(path, b"".join(chunks))
 
 
@@ -190,19 +178,22 @@ def load_model(path: str | Path, expected_provider: str | None = None) -> Classi
         dim = r.u32()
         provider_name = r.take(r.u16()).decode("utf-8")
         count = r.u32()
-        protos = []
-        for _ in range(count):
-            label = r.take(r.u16()).decode("utf-8")
-            support = r.u32()
-            values = np.frombuffer(r.take(8 * dim), dtype="<f8").astype(np.float64)
-            protos.append(Prototype(label=label, mean=EmbeddingVector(values), support_count=support))
+        # every record holds at least a label length, a support count and a row
+        if count * (6 + 8 * dim) > len(data) - r.pos:
+            raise CorruptFileError("model file truncated")
+        labels, support_counts = [], []
+        matrix = np.empty((count, dim))
+        for row in matrix:
+            labels.append(r.take(r.u16()).decode("utf-8"))
+            support_counts.append(r.u32())
+            row[:] = np.frombuffer(r.take(8 * dim), dtype="<f8")
         if r.pos != len(data):
             raise CorruptFileError("trailing bytes after model records")
         if expected_provider is not None and provider_name != expected_provider:
             raise ProviderMismatchError(
                 f"model was built with provider {provider_name!r}, queried with {expected_provider!r}"
             )
-        return ClassifierModel(protos, dim=dim, provider_name=provider_name)
+        return ClassifierModel(labels, matrix, support_counts, provider_name=provider_name)
     except ValueError as exc:
         # text that is not UTF-8, NaN values, duplicate labels, a support count of 0
         raise CorruptFileError(f"model file is invalid: {exc}") from exc

@@ -226,8 +226,8 @@ def _run_manifest(
             {
                 "dim": model.dim,
                 "provider": model.provider_name,
-                "labels": model._labels,
-                "matrix": model._matrix.tobytes().hex(),
+                "labels": model.labels,
+                "matrix": model.matrix.tobytes().hex(),
             },
             sort_keys=True,
         )

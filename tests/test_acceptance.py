@@ -63,7 +63,7 @@ def test_criterion_1_classifier_oracle_equivalence():
         for s in range(10)
     ]
     model = build_prototypes(pairs)
-    protos = {label: p.mean.values for label, p in model.prototypes.items()}
+    protos = dict(zip(model.labels, model.matrix))
 
     agreements = 0
     for i in range(500):
@@ -104,7 +104,7 @@ def test_criterion_2_prototype_exactness():
     worst = 0.0
     for label, vectors in by_label.items():
         naive = [sum(col) / len(vectors) for col in zip(*vectors)]
-        got = model.prototypes[label].mean.values.tolist()
+        got = model.matrix[model.labels.index(label)].tolist()
         for g, n in zip(got, naive):
             rel = abs(g - n) / max(1.0, abs(n))
             worst = max(worst, rel)

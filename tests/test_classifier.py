@@ -39,12 +39,12 @@ class TestBuildPrototypes:
     def test_singleton_mean_is_the_sample(self):
         v = vec(3.0, -1.0, 2.0)
         model = build_prototypes([("a", v)])
-        assert np.array_equal(model.prototypes["a"].mean.values, v.values)
-        assert model.prototypes["a"].support_count == 1
+        assert np.array_equal(model.matrix[0], v.values)
+        assert model.support_counts == (1,)
 
     def test_two_sample_mean(self):
         model = build_prototypes([("a", vec(0.0, 0.0)), ("a", vec(2.0, 2.0))])
-        assert model.prototypes["a"].mean.values.tolist() == [1.0, 1.0]
+        assert model.matrix[0].tolist() == [1.0, 1.0]
 
     def test_matches_naive_mean_oracle(self):
         pairs = random_training_set(50, 10, dim=32, seed=1)
@@ -54,7 +54,7 @@ class TestBuildPrototypes:
             by_label.setdefault(label, []).append(v.values.tolist())
         for label, vectors in by_label.items():
             naive = [sum(col) / len(vectors) for col in zip(*vectors)]
-            got = model.prototypes[label].mean.values
+            got = model.matrix[model.labels.index(label)]
             for g, n in zip(got.tolist(), naive):
                 assert abs(g - n) <= 1e-12 * max(1.0, abs(n))
 
@@ -70,8 +70,8 @@ class TestBuildPrototypes:
         pairs = random_training_set(10, 4, dim=16, seed=2)
         a = build_prototypes(pairs)
         b = build_prototypes(pairs)
-        for label in a.prototypes:
-            assert a.prototypes[label].mean.values.tobytes() == b.prototypes[label].mean.values.tobytes()
+        assert a.labels == b.labels
+        assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
 class TestClassifyTopK:
@@ -94,7 +94,7 @@ class TestClassifyTopK:
         provider = StubEmbeddingProvider(dim=24)
         pairs = random_training_set(30, 5, dim=24, seed=3, provider=provider)
         model = build_prototypes(pairs)
-        protos = {label: p.mean.values.tolist() for label, p in model.prototypes.items()}
+        protos = dict(zip(model.labels, model.matrix.tolist()))
         rng = random.Random(4)
         for i in range(200):
             q = embed_text(provider, f"query-{i}-{rng.random()}")
@@ -121,7 +121,7 @@ class TestClassifyTopK:
         assert base == shifted
 
     def test_empty_model(self):
-        model = ClassifierModel([], dim=4)
+        model = ClassifierModel([], np.empty((0, 4)), [])
         with pytest.raises(EmptyInputError, match="classifier has no prototypes"):
             classify_topk(model, vec(0.0, 0.0, 0.0, 0.0), 1)
 
@@ -134,7 +134,7 @@ class TestClassifyTopK:
 class TestEvaluateTopK:
     def test_prototype_queries_are_perfect(self):
         model = build_prototypes([("a", vec(1.0, 0.0)), ("b", vec(0.0, 1.0))])
-        test = [(label, p.mean) for label, p in model.prototypes.items()]
+        test = [(label, EmbeddingVector(row)) for label, row in zip(model.labels, model.matrix)]
         assert evaluate_topk(model, test, [1]) == {1: 1.0}
 
     def test_one_mislabeled_in_ten(self):
@@ -172,10 +172,9 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.dim == model.dim
         assert loaded.provider_name == "stub"
-        assert loaded._labels == model._labels
-        assert loaded._matrix.tobytes() == model._matrix.tobytes()
-        for label in model.prototypes:
-            assert loaded.prototypes[label].support_count == model.prototypes[label].support_count
+        assert loaded.labels == model.labels
+        assert loaded.matrix.tobytes() == model.matrix.tobytes()
+        assert loaded.support_counts == model.support_counts
 
     def test_provider_checked_at_load(self, tmp_path):
         model = build_prototypes([("a", vec(1.0, 2.0))], provider_name="stub")
@@ -200,8 +199,9 @@ class TestPersistence:
             [(b"a", 1, (1.0, 0.0)), (b"a", 2, (0.0, 1.0))],
             [(b"a", 0, (1.0, 0.0))],
             [(b"\xff\xfe", 1, (1.0, 0.0))],
+            [(b"b", 1, (1.0, 0.0)), (b"a", 1, (0.0, 1.0))],
         ],
-        ids=["nan_values", "duplicate_labels", "zero_support", "label_not_utf8"],
+        ids=["nan_values", "duplicate_labels", "zero_support", "label_not_utf8", "labels_out_of_order"],
     )
     def test_invalid_records_are_corrupt(self, tmp_path, records):
         # the persisted layout, written record by record
@@ -211,6 +211,15 @@ class TestPersistence:
         path = tmp_path / "model.bin"
         path.write_bytes(b"".join(chunks))
         with pytest.raises(CorruptFileError, match="model file is invalid"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dim, count", [(2, 2**31), (2**32 - 1, 1)])
+    def test_header_larger_than_file_is_corrupt(self, tmp_path, dim, count):
+        # checked before the matrix is allocated, so this is no MemoryError
+        header = b"OBSPROTO\x00\x01" + struct.pack("<IH", dim, 4) + b"stub" + struct.pack("<I", count)
+        path = tmp_path / "model.bin"
+        path.write_bytes(header + struct.pack("<H", 1) + b"a" + struct.pack("<I2d", 1, 1.0, 0.0))
+        with pytest.raises(CorruptFileError, match="truncated"):
             load_model(path)
 
     def test_bad_magic(self, tmp_path):
