@@ -154,3 +154,31 @@ def test_dead_definition_checker_ignores_the_definition_itself():
     )
     dead = set(_dead(_definitions(tree), _references(tree)))
     assert dead == {"USED", "helper", "Gone", "Kept.build"}
+
+
+def _foreign_private_reads(tree: ast.Module) -> list[str]:
+    """``x._name`` where ``x`` is not ``self`` or ``cls``, with line numbers."""
+    return [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not _is_dunder(node.attr)
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_no_reads_of_another_objects_private_attributes():
+    """Each piece of state has one owner: a module reads another object's
+    state through its public attributes."""
+    found = sorted(
+        f"{path.name}: {read}"
+        for path in SOURCES
+        for read in _foreign_private_reads(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert not found, f"private attributes read from outside their object: {found}"
+
+
+def test_private_read_checker_exempts_only_self_and_cls():
+    tree = ast.parse("self._a\ncls._b\nmodel._c\nx.__len__\nx.public\nf()._d\n")
+    assert _foreign_private_reads(tree) == ["model._c (line 3)", "f()._d (line 6)"]
