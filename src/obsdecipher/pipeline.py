@@ -29,7 +29,7 @@ from .backends import ChatBackend, OfflineChatBackend, backend_from_env
 from .classifier import ClassifierModel, classify_topk
 from .dataset import CharacterRecord, Corpus
 from .embedding import EmbeddingProvider, embed_image
-from .errors import ConfigError, ObsError
+from .errors import ConfigError, MalformedInputError, ObsError
 from .inference import (
     InterpretationResult,
     generate_interpretation_multiagent,
@@ -163,7 +163,10 @@ def run_pipeline(
 
     Returns results (corpus order), failures, and the run manifest whose
     ``manifest_hash`` is deterministic for fixed inputs and mock backends.
+    Raises ``MalformedInputError`` before the first character when a
+    character id cannot name its own result file under ``out_dir``.
     """
+    _check_result_names(corpus.characters)
     cache = SemanticCache.from_config(provider, config.retrieval)
     root = Path(image_root) if image_root is not None else None
 
@@ -198,6 +201,20 @@ def run_pipeline(
             write_json(out / "evidence" / f"{result.character_ref}.json", bundle.to_json())
         write_json(out / "run_manifest.json", manifest)
     return results, failures, manifest
+
+
+def _check_result_names(characters: Sequence[CharacterRecord]) -> None:
+    """Each id must be a distinct plain file name other than the manifest's."""
+    seen: set[str] = set()
+    for char in characters:
+        cid = char.character_id
+        if not isinstance(cid, str) or cid in ("", ".", "..", "run_manifest") or any(
+            c in cid for c in "/\\\0"
+        ):
+            raise MalformedInputError(f"character id {cid!r} cannot name a result file")
+        if cid in seen:
+            raise MalformedInputError(f"character id {cid!r} appears more than once")
+        seen.add(cid)
 
 
 def write_json(path: str | Path, doc: dict) -> None:

@@ -1,14 +1,16 @@
 import json
 import os
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import obsdecipher.cli as cli_mod
+from obsdecipher.backends import OfflineChatBackend
 from obsdecipher.cli import main
-from obsdecipher.dataset import read_manifest
+from obsdecipher.dataset import read_manifest, write_manifest
 from obsdecipher.embedding import StubEmbeddingProvider
 
 from conftest import make_run_fixture, write_annotation
@@ -406,6 +408,34 @@ class TestRunCommand:
             "character_id": corpus.characters[2].character_id,
             "error": f"FileNotFoundError: [Errno 2] No such file or directory: {str(missing)!r}",
         }]
+
+    @pytest.mark.parametrize(
+        "bad_id", ["", ".", "..", "../escaped", "sub/char0000", "a\\b", "run_manifest", "duplicate"]
+    )
+    def test_id_that_cannot_name_a_result_file_is_rejected_up_front(
+        self, runner, tmp_path, monkeypatch, bad_id
+    ):
+        # the graph comes from the intact manifest, which has no repeated id
+        corpus, good_manifest, explanations = make_run_fixture(tmp_path, n_characters=3)
+        graph = tmp_path / "graph.ldjson"
+        invoke(runner, "build-kg", "--manifest", str(good_manifest),
+               "--explanations", str(explanations), "--out", str(graph))
+        if bad_id == "duplicate":
+            bad_id = corpus.characters[0].character_id
+        chars = (*corpus.characters[:2], replace(corpus.characters[2], character_id=bad_id))
+        manifest = tmp_path / "bad.ldjson"
+        write_manifest(replace(corpus, characters=chars), manifest)
+        chat_calls = []
+        monkeypatch.setattr(OfflineChatBackend, "complete", lambda self, req: chat_calls.append(req))
+        out_dir = tmp_path / "run" / "out"
+        result = runner.invoke(main, [
+            "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
+            "--graph", str(graph), "--mock", "--image-root", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        assert f"MalformedInputError: character id {bad_id!r}" in result.output
+        assert not (tmp_path / "run").exists()
+        assert chat_calls == []
 
     def test_run_requires_backend_or_mock(self, runner, tmp_path):
         _, manifest, _ = make_run_fixture(tmp_path, n_characters=2)
