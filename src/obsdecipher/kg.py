@@ -334,24 +334,39 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
             rec = json.loads(line.decode("utf-8"))
             t = rec.get("t")
             if t == "meta":
-                source_split = rec.get("source_split", "")
+                source_split = _text(rec, "source_split", "")
             elif t == "node":
+                attrs = rec.get("attributes", {})
                 nodes.append(
                     Node(
-                        node_id=rec["id"],
+                        node_id=_text(rec, "id"),
                         kind=NodeKind(rec["kind"]),
-                        label=rec["label"],
-                        explanation=rec.get("explanation", ""),
-                        attributes=tuple(sorted(rec.get("attributes", {}).items())),
+                        label=_text(rec, "label"),
+                        explanation=_text(rec, "explanation", ""),
+                        attributes=tuple((k, _text(attrs, k)) for k in attrs.keys()),
                     )
                 )
             elif t == "edge":
                 edges.append(
-                    Edge(src=rec["from"], dst=rec["to"], relation=Relation(rec["relation"]))
+                    Edge(
+                        src=_text(rec, "from"),
+                        dst=_text(rec, "to"),
+                        relation=Relation(rec["relation"]),
+                    )
                 )
             else:
                 raise CorruptFileError(f"graph file line {lineno} has unknown type {t!r}")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # not UTF-8 or not JSON, not an object, a missing key, an unknown kind
+            # not UTF-8 or not JSON, not an object, a missing key, a value of
+            # the wrong type, an unknown kind
             raise CorruptFileError(f"graph file line {lineno} is malformed: {exc!r}") from exc
     return KnowledgeGraph(nodes, edges, source_split=source_split)
+
+
+def _text(rec: dict, key: str, default: str | None = None) -> str:
+    """``rec[key]`` (or ``default`` when given and the key is absent), which
+    must be a string."""
+    value = rec[key] if default is None else rec.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} is {type(value).__name__}, not str")
+    return value

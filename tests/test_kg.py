@@ -223,8 +223,19 @@ class TestPersistence:
             b'{"id": "component:hand", "kind": "Radical", "label": "hand", "t": "node"}',
             b'["node", "component:hand"]',
             b'{"id": "component:\xff", "kind": "Component", "label": "\xff", "t": "node"}',
+            b'{"id": "character:c0", "kind": "Character", "label": ["x"], "t": "node"}',
+            b'{"attributes": {"component_labels": 5}, "id": "character:c0", "kind": "Character", '
+            b'"label": "c0", "t": "node"}',
+            b'{"explanation": 7, "id": "component:hand", "kind": "Component", "label": "hand", "t": "node"}',
+            b'{"id": 3, "kind": "Component", "label": "hand", "t": "node"}',
+            b'{"attributes": [], "id": "component:hand", "kind": "Component", "label": "hand", "t": "node"}',
+            b'{"from": ["character:c0"], "relation": "CONTAINS", "t": "edge", "to": "component:hand"}',
         ],
-        ids=["node_without_id", "unknown_kind", "record_is_a_list", "not_utf8"],
+        ids=[
+            "node_without_id", "unknown_kind", "record_is_a_list", "not_utf8", "label_is_a_list",
+            "attribute_is_a_number", "explanation_is_a_number", "id_is_a_number",
+            "attributes_are_a_list", "edge_end_is_a_list",
+        ],
     )
     def test_checksummed_but_malformed_line_is_corrupt(self, tmp_path, node):
         body = [b'{"source_split": "", "t": "meta"}', node]
