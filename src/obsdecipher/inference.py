@@ -139,12 +139,16 @@ class InterpretationResult:
     interpretation: str
     evidence_used: tuple[int, ...]
     mode: str  # "vlm" | "multi_agent"
-    token_usage: TokenUsage
     backend_names: tuple[str, ...]
     language: str
     template_ids: tuple[str, ...] = ()
     usage_by_backend: tuple[tuple[str, TokenUsage], ...] = ()
     retrieval_fallback: bool = False
+
+    @property
+    def token_usage(self) -> TokenUsage:
+        """Tokens over every backend call, the sum of ``usage_by_backend``."""
+        return sum((usage for _, usage in self.usage_by_backend), TokenUsage())
 
     def to_json(self) -> dict:
         return {
@@ -173,7 +177,6 @@ class InterpretationResult:
             interpretation=doc["interpretation"],
             evidence_used=tuple(doc.get("evidence_used", ())),
             mode=doc["mode"],
-            token_usage=TokenUsage.from_json(doc.get("token_usage", {})),
             backend_names=tuple(doc.get("backend_names", ())),
             language=doc.get("language", "zh"),
             template_ids=tuple(doc.get("template_ids", ())),
@@ -277,7 +280,6 @@ def generate_interpretation_vlm(
         interpretation=fields["interpretation"],
         evidence_used=tuple(item.rank for item in evidence.items),
         mode="vlm",
-        token_usage=resp.usage,
         backend_names=(backend.name,),
         language=lang,
         template_ids=(template.template_id,),
@@ -374,7 +376,6 @@ def generate_interpretation_multiagent(
         interpretation=fields["interpretation"],
         evidence_used=tuple(item.rank for item in bundle.items),
         mode="multi_agent",
-        token_usage=retriever_usage + reasoner_usage,
         backend_names=(retriever.name, reasoner.name),
         language=lang,
         template_ids=(plan_template.template_id, reasoner_template.template_id),

@@ -142,7 +142,6 @@ def interpret_character(
         result,
         inscription_type=typed.inscription_type,
         reasoning_trace=typed.reasoning or result.reasoning_trace,
-        token_usage=result.token_usage + typed.token_usage,
         usage_by_backend=result.usage_by_backend
         + ((f"{type_backend}:type", typed.token_usage),),
     )

@@ -21,9 +21,9 @@ def result(ref, interpretation, itype=InscriptionType.IDEOGRAPHIC):
         interpretation=interpretation,
         evidence_used=(0,),
         mode="vlm",
-        token_usage=TokenUsage(10, 5),
         backend_names=("mock",),
         language="zh",
+        usage_by_backend=(("mock", TokenUsage(10, 5)),),
     )
 
 
