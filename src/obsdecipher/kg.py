@@ -334,23 +334,23 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
             rec = json.loads(line.decode("utf-8"))
             t = rec.get("t")
             if t == "meta":
-                source_split = _text(rec, "source_split", "")
+                source_split = _text(rec.get("source_split", ""), "source_split")
             elif t == "node":
                 attrs = rec.get("attributes", {})
                 nodes.append(
                     Node(
-                        node_id=_text(rec, "id"),
+                        node_id=_text(rec["id"], "id"),
                         kind=NodeKind(rec["kind"]),
-                        label=_text(rec, "label"),
-                        explanation=_text(rec, "explanation", ""),
-                        attributes=tuple((k, _text(attrs, k)) for k in attrs.keys()),
+                        label=_text(rec["label"], "label"),
+                        explanation=_text(rec.get("explanation", ""), "explanation"),
+                        attributes=tuple((k, _text(v, k)) for k, v in attrs.items()),
                     )
                 )
             elif t == "edge":
                 edges.append(
                     Edge(
-                        src=_text(rec, "from"),
-                        dst=_text(rec, "to"),
+                        src=_text(rec["from"], "from"),
+                        dst=_text(rec["to"], "to"),
                         relation=Relation(rec["relation"]),
                     )
                 )
@@ -363,10 +363,8 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
     return KnowledgeGraph(nodes, edges, source_split=source_split)
 
 
-def _text(rec: dict, key: str, default: str | None = None) -> str:
-    """``rec[key]`` (or ``default`` when given and the key is absent), which
-    must be a string."""
-    value = rec[key] if default is None else rec.get(key, default)
+def _text(value: object, key: str) -> str:
+    """``value``, read from ``key`` of a graph record, which must be a string."""
     if not isinstance(value, str):
         raise TypeError(f"{key!r} is {type(value).__name__}, not str")
     return value
