@@ -60,8 +60,9 @@ class RatingMatrix:
         return cls(tuple(tuple(row) for row in rows), scale=scale)
 
     @classmethod
-    def from_csv(cls, path: str | Path, scale=LIKERT_SCALE) -> "RatingMatrix":
-        """Plain numeric CSV, one item per row, empty cells for missing."""
+    def from_csv(cls, path: str | Path) -> "RatingMatrix":
+        """Plain numeric CSV, one item per row, empty cells for missing,
+        checked against the Likert scale."""
         rows = []
         with open(path, newline="", encoding="utf-8") as handle:
             for record in csv.reader(handle):
@@ -70,7 +71,7 @@ class RatingMatrix:
                 rows.append(
                     tuple(float(cell) if cell.strip() else None for cell in record)
                 )
-        return cls.from_rows(rows, scale=scale)
+        return cls.from_rows(rows)
 
 
 def icc3(ratings: RatingMatrix) -> float:

@@ -24,6 +24,8 @@ CHAT_KEY_ENV = "OBS_CHAT_KEY"
 RETRIEVER_URL_ENV = "OBS_RETRIEVER_URL"
 REASONER_URL_ENV = "OBS_REASONER_URL"
 
+_TIMEOUT_S = 120.0  # per hosted chat request
+
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -98,20 +100,12 @@ class HttpChatBackend(ChatBackend):
     concurrency (``run_pipeline``'s pool) bounds them.
     """
 
-    def __init__(
-        self,
-        url: str,
-        api_key: str | None = None,
-        model: str | None = None,
-        name: str | None = None,
-        timeout: float = 120.0,
-    ):
+    def __init__(self, url: str, api_key: str | None = None, model: str | None = None):
         self._url = url
         self._api_key = api_key
         self.model = model
-        self.name = name or f"http:{url}"
+        self.name = f"http:{url}"
         self.supports_images = True
-        self._timeout = timeout
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         messages = []
@@ -131,7 +125,7 @@ class HttpChatBackend(ChatBackend):
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
         try:
-            resp = requests.post(self._url, json=body, headers=headers, timeout=self._timeout)
+            resp = requests.post(self._url, json=body, headers=headers, timeout=_TIMEOUT_S)
         except requests.RequestException as exc:
             raise BackendUnavailableError(f"chat backend unreachable: {exc}") from exc
         if resp.status_code != 200:

@@ -22,6 +22,8 @@ DEFAULT_DIM = 768
 
 EMBED_URL_ENV = "OBS_EMBED_URL"
 
+_TIMEOUT_S = 60.0  # per hosted encoder request
+
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingVector:
@@ -102,11 +104,12 @@ class StubEmbeddingProvider(EmbeddingProvider):
     exercise every downstream component without model weights.
     """
 
-    def __init__(self, dim: int = DEFAULT_DIM, name: str = "stub"):
+    name = "stub"
+
+    def __init__(self, dim: int = DEFAULT_DIM):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self.name = name
 
     def _vector(self, payload: bytes) -> EmbeddingVector:
         key = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
@@ -140,25 +143,18 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
     concurrency (``run_pipeline``'s pool) bounds them.
     """
 
-    def __init__(
-        self,
-        url: str,
-        dim: int = DEFAULT_DIM,
-        name: str | None = None,
-        timeout: float = 60.0,
-    ):
+    def __init__(self, url: str, dim: int = DEFAULT_DIM):
         base = url.rstrip("/")
         self._endpoint = base if base.endswith("/embed") else base + "/embed"
         self.dim = dim
-        self.name = name or f"remote:{self._endpoint}"
-        self._timeout = timeout
+        self.name = f"remote:{self._endpoint}"
 
     def _post(self, kind: str, data: str) -> EmbeddingVector:
         try:
             resp = requests.post(
                 self._endpoint,
                 json={"kind": kind, "data": data},
-                timeout=self._timeout,
+                timeout=_TIMEOUT_S,
             )
         except requests.RequestException as exc:
             raise ProviderUnavailableError(f"embedding endpoint unreachable: {exc}") from exc
