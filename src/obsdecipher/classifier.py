@@ -195,5 +195,6 @@ def load_model(path: str | Path, expected_provider: str | None = None) -> Classi
             )
         return ClassifierModel(labels, matrix, support_counts, provider_name=provider_name)
     except ValueError as exc:
-        # text that is not UTF-8, NaN values, duplicate labels, a support count of 0
+        # text that is not UTF-8, NaN values, labels repeated or out of order,
+        # a support count of 0
         raise CorruptFileError(f"model file is invalid: {exc}") from exc
