@@ -213,7 +213,7 @@ class TestPersistence:
         with pytest.raises(CorruptFileError, match="model file is invalid"):
             load_model(path)
 
-    @pytest.mark.parametrize("dim, count", [(2, 2**31), (2**32 - 1, 1)])
+    @pytest.mark.parametrize("dim, count", [(768, 2**31), (2**32 - 1, 2**16)])
     def test_header_larger_than_file_is_corrupt(self, tmp_path, dim, count):
         # checked before the matrix is allocated, so this is no MemoryError
         header = b"OBSPROTO\x00\x01" + struct.pack("<IH", dim, 4) + b"stub" + struct.pack("<I", count)
