@@ -207,9 +207,8 @@ def _check_result_names(characters: Sequence[CharacterRecord]) -> None:
     seen: set[str] = set()
     for char in characters:
         cid = char.character_id
-        if not isinstance(cid, str) or cid in ("", ".", "..", "run_manifest") or any(
-            c in cid for c in "/\\\0"
-        ):
+        plain = isinstance(cid, str) and cid not in ("", ".", "..", "run_manifest")
+        if not plain or any(c in cid for c in "/\\\0"):
             raise MalformedInputError(f"character id {cid!r} cannot name a result file")
         if cid in seen:
             raise MalformedInputError(f"character id {cid!r} appears more than once")
