@@ -142,6 +142,7 @@ def interpret_character(
         result,
         inscription_type=typed.inscription_type,
         reasoning_trace=typed.reasoning or result.reasoning_trace,
+        template_ids=result.template_ids + (typed.template_id,),
         usage_by_backend=result.usage_by_backend
         + ((f"{type_backend}:type", typed.token_usage),),
     )
