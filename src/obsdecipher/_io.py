@@ -7,6 +7,11 @@ import uuid
 from pathlib import Path
 
 
+def temp_name(name: str) -> str:
+    """The hidden name a write to the file ``name`` goes through first."""
+    return f".{name}.{uuid.uuid4().hex}"
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write via a temp file in the target directory, then rename over.
 
@@ -16,7 +21,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     caller gave.
     """
     path = Path(path)
-    tmp = path.parent / f".{path.name}.{uuid.uuid4().hex}"
+    tmp = path.parent / temp_name(path.name)
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:

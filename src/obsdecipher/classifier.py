@@ -2,10 +2,18 @@
 
 Each class is represented by the arithmetic mean of its support embeddings,
 held once, as one row of the model's matrix. Queries are ranked by Euclidean
-distance over an exact full scan of the rows (OB-Radix has 478 component
-classes; a scan over a thousand rows is one vectorized pass, so no index
-structure is needed). Ties at equal distance break lexicographically by
-label for reproducibility.
+distance in two steps, as flat L2 indexes do (FAISS ``IndexFlatL2``):
+
+* a screen, ``‖p‖² − 2·p·q`` for every row ``p``, from one matrix product per
+  block of queries (``‖q‖²`` is common to a query's rows, so it is left out);
+* an exact rescore, ``np.linalg.norm(p − q)``, of the shortlist: every row
+  whose screen value is at most the k-th smallest plus a bound on the float
+  error of both the screen and the rescored norm.
+
+A row outside the shortlist is therefore provably farther, after rounding,
+than ``k`` rows inside it, so the ranking and the distances are bitwise those
+of a full scan with ``np.linalg.norm``. Ties at equal distance break
+lexicographically by label for reproducibility.
 """
 
 from __future__ import annotations
@@ -27,6 +35,9 @@ from .errors import (
 )
 
 _MAGIC = b"OBSPROTO\x00\x01"  # versioned model-file magic
+_BLOCK_ROWS = 128  # queries screened by one matrix product
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny  # bounds the absolute error of an underflow
 
 
 @dataclass(frozen=True)
@@ -42,8 +53,9 @@ class RankedPrediction:
 class ClassifierModel:
     """Immutable prototype table: strictly increasing ``labels``, a read-only
     float64 ``matrix`` whose row ``i`` is the prototype of ``labels[i]``, and
-    ``support_counts``. Raises ``ValueError`` on labels out of order or
-    repeated, a support count below 1 or a non-finite value.
+    ``support_counts``, plus ``sq_norms``, the squared norm of each row.
+    Raises ``ValueError`` on labels out of order or repeated, a support count
+    below 1 or a non-finite value.
     """
 
     def __init__(
@@ -63,6 +75,8 @@ class ClassifierModel:
         matrix.setflags(write=False)
         self.labels: tuple[str, ...] = tuple(labels)
         self.matrix = matrix
+        self.sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+        self.sq_norms.setflags(write=False)
         self.support_counts: tuple[int, ...] = tuple(support_counts)
         self.dim = matrix.shape[1]
         self.provider_name = provider_name
@@ -98,15 +112,7 @@ def build_prototypes(
 
 def classify_topk(model: ClassifierModel, query: EmbeddingVector, k: int) -> RankedPrediction:
     """Top-``k`` classes by ascending Euclidean distance to the prototypes."""
-    if len(model) == 0:
-        raise EmptyInputError("classifier has no prototypes")
-    if query.dim != model.dim:
-        raise DimensionMismatchError(f"query dim {query.dim}, model dim {model.dim}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    dists = np.linalg.norm(model.matrix - query.values, axis=1)
-    ranked = sorted(zip(model.labels, dists.tolist()), key=lambda e: (e[1], e[0]))
-    return RankedPrediction(entries=tuple(ranked[: min(k, len(ranked))]))
+    return RankedPrediction(entries=_rank(model, [query], k)[0])
 
 
 def evaluate_topk(
@@ -117,14 +123,60 @@ def evaluate_topk(
     """ACC@k: fraction of test items whose label is among the k nearest."""
     if not test:
         raise EmptyInputError("no test samples")
-    max_k = max(ks)
+    ranked = _rank(model, [vec for _, vec in test], max(ks))
     hits = {k: 0 for k in ks}
-    for label, vec in test:
-        top = classify_topk(model, vec, max_k).labels()
+    for (label, _), entries in zip(test, ranked):
+        top = [entry_label for entry_label, _ in entries]
         for k in ks:
             if label in top[:k]:
                 hits[k] += 1
     return {k: hits[k] / len(test) for k in ks}
+
+
+def _rank(
+    model: ClassifierModel, queries: Sequence[EmbeddingVector], k: int
+) -> list[tuple[tuple[str, float], ...]]:
+    """The top-``k`` ``(label, distance)`` entries of each query, nearest first.
+
+    Rounding moves a screen value by at most ``γ·(‖p‖ + ‖q‖)²`` and a
+    rescored squared distance by at most ``γ·d²`` with ``γ ≈ (dim + 4)·u``, so
+    a row whose screen value exceeds the k-th smallest by the margin
+    ``4·(dim + 4)·u·(max‖p‖ + ‖q‖)²`` is strictly farther, after rounding, than
+    the ``k`` rows at or below it. When the margin is not finite (an
+    overflow), every row is rescored.
+    """
+    if len(model) == 0:
+        raise EmptyInputError("classifier has no prototypes")
+    for query in queries:
+        if query.dim != model.dim:
+            raise DimensionMismatchError(f"query dim {query.dim}, model dim {model.dim}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    k = min(k, len(model))
+    max_norm = np.sqrt(model.sq_norms.max())
+    scale = 4 * (model.dim + 4)
+    ranked = []
+    for start in range(0, len(queries), _BLOCK_ROWS):
+        block = np.stack([query.values for query in queries[start : start + _BLOCK_ROWS]])
+        screen = model.sq_norms - 2.0 * (block @ model.matrix.T)
+        kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
+        reach = max_norm + np.sqrt(np.einsum("ij,ij->i", block, block))
+        cutoffs = kth + scale * (_UNIT_ROUNDOFF * reach * reach + _TINY)
+        for query, row, cutoff in zip(block, screen, cutoffs):
+            if np.isfinite(cutoff):
+                rows = np.flatnonzero(row <= cutoff)
+            else:
+                rows = np.arange(len(model))
+            dists = np.linalg.norm(model.matrix[rows] - query, axis=1)
+            # rows ascend with the labels, so a stable sort breaks ties by label
+            order = np.argsort(dists, kind="stable")[:k]
+            ranked.append(
+                tuple(
+                    (model.labels[i], d)
+                    for i, d in zip(rows[order].tolist(), dists[order].tolist())
+                )
+            )
+    return ranked
 
 
 # --- persistence ------------------------------------------------------------

@@ -25,7 +25,7 @@ from .classifier import (
 )
 from .dataset import ComponentRecord, Corpus, read_manifest, write_manifest
 from .embedding import EmbeddingProvider, provider_from_env
-from .errors import MalformedInputError, ObsError
+from .errors import ConfigError, MalformedInputError, ObsError
 from .inference import InterpretationResult
 from .pipeline import (
     PipelineBackends,
@@ -183,6 +183,8 @@ def train(manifest, out, image_root):
 @domain_errors
 def classify(model_path, image, k):
     """Rank component classes for one image."""
+    if k < 1:
+        raise ConfigError(f"--k must be >= 1, got {k}")
     provider = provider_from_env()
     model = load_model(model_path, expected_provider=provider.name)
     vec = provider.embed_image(Path(image).read_bytes())
@@ -205,12 +207,12 @@ def classify(model_path, image, k):
 @domain_errors
 def eval_topk_cmd(model_path, manifest, ks, out, image_root):
     """ACC@k of the classifier over a test manifest."""
+    k_values = _parse_ks(ks)
     provider = provider_from_env()
     model = load_model(model_path, expected_provider=provider.name)
     corpus = read_manifest(manifest)
     root = Path(image_root) if image_root else None
     pairs = list(_component_pairs(corpus, provider, root))
-    k_values = [int(x) for x in ks.split(",") if x.strip()]
     accuracy = evaluate_topk(model, pairs, k_values)
     doc = {
         "schema_version": 1,
@@ -221,6 +223,19 @@ def eval_topk_cmd(model_path, manifest, ks, out, image_root):
     if out:
         write_json(out, doc)
     _emit(doc)
+
+
+def _parse_ks(text: str) -> list[int]:
+    """The comma-separated k values of ``--ks``: at least one, each >= 1."""
+    try:
+        k_values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"--ks must be comma-separated integers, got {text!r}") from None
+    if not k_values:
+        raise ConfigError(f"--ks names no k, got {text!r}")
+    if min(k_values) < 1:
+        raise ConfigError(f"every k in --ks must be >= 1, got {text!r}")
+    return k_values
 
 
 @main.command(name="build-kg")

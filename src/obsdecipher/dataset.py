@@ -363,11 +363,18 @@ def read_manifest(path: str | Path) -> Corpus:
         kind = rec.get("kind")
         try:
             if kind == "character":
+                labels = rec.get("component_labels", [])
+                if not isinstance(labels, list) or not all(
+                    isinstance(label, str) for label in labels
+                ):
+                    raise MalformedInputError(
+                        f"{where}: component_labels must be a list of strings, got {labels!r}"
+                    )
                 characters.append(
                     CharacterRecord(
                         character_id=rec["character_id"],
                         image_ref=rec.get("image_ref", ""),
-                        component_labels=tuple(rec.get("component_labels", ())),
+                        component_labels=tuple(labels),
                         interpretation=rec.get("interpretation", "") or "",
                         inscription_type=rec.get("inscription_type"),
                         modern_form=rec.get("modern_form"),

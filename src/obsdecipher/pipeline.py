@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, temp_name
 from .backends import ChatBackend, OfflineChatBackend, backend_from_env
 from .classifier import ClassifierModel, classify_topk
 from .dataset import CharacterRecord, Corpus
@@ -38,6 +39,8 @@ from .inference import (
 )
 from .kg import KnowledgeGraph
 from .retrieval import RetrievalConfig, SemanticCache, retrieve_evidence
+
+_NAME_MAX = 255  # bytes in one file name on common Linux and macOS file systems
 
 
 @dataclass(frozen=True)
@@ -204,16 +207,25 @@ def run_pipeline(
 
 
 def _check_result_names(characters: Sequence[CharacterRecord]) -> None:
-    """Each id must be a distinct plain file name other than the manifest's."""
+    """Each id must be a distinct plain file name other than the manifest's,
+    short enough that the writer's temp name for its result file fits in
+    ``_NAME_MAX`` bytes."""
     seen: set[str] = set()
     for char in characters:
         cid = char.character_id
         plain = isinstance(cid, str) and cid not in ("", ".", "..", "run_manifest")
-        if not plain or any(c in cid for c in "/\\\0"):
+        if not plain or any(c in cid for c in "/\\\0") or not _fits_a_name(cid):
             raise MalformedInputError(f"character id {cid!r} cannot name a result file")
         if cid in seen:
             raise MalformedInputError(f"character id {cid!r} appears more than once")
         seen.add(cid)
+
+
+def _fits_a_name(cid: str) -> bool:
+    try:
+        return len(os.fsencode(temp_name(f"{cid}.json"))) <= _NAME_MAX
+    except UnicodeEncodeError:
+        return False
 
 
 def write_json(path: str | Path, doc: dict) -> None:

@@ -75,6 +75,15 @@ def structurally_equal(a, b):
     return a.nodes == b.nodes and set(a.edges) == set(b.edges) and a.source_split == b.source_split
 
 
+def full_scan_entries(model, query, k):
+    """The classifier's top-k entries from the full scan it replaced: every
+    prototype's ``np.linalg.norm`` distance, then a full sort by (distance,
+    label)."""
+    dists = np.linalg.norm(model.matrix - query.values, axis=1)
+    ranked = sorted(zip(model.labels, dists.tolist()), key=lambda e: (e[1], e[0]))
+    return tuple(ranked[:k])
+
+
 def canonical_json(bundle):
     """An evidence bundle as sorted, unescaped JSON, for byte comparisons."""
     return json.dumps(bundle.to_json(), ensure_ascii=False, sort_keys=True)

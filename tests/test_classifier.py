@@ -4,7 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from obsdecipher import classifier
 from obsdecipher.classifier import (
     ClassifierModel,
     build_prototypes,
@@ -21,9 +24,68 @@ from obsdecipher.errors import (
     ProviderMismatchError,
 )
 
+from conftest import full_scan_entries
+
 
 def vec(*values):
     return EmbeddingVector(np.array(values, dtype=np.float64))
+
+
+def bits(entries):
+    """Entries with each distance spelled out bit for bit."""
+    return [(label, dist.hex()) for label, dist in entries]
+
+
+def nudged(value, steps):
+    """``value`` moved by ``steps`` units in the last place."""
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, np.inf if steps > 0 else -np.inf)
+    return value
+
+
+@st.composite
+def screened_cases(draw):
+    """A model and queries built to sit on the screen's margin: exact ties
+    from grid points and midpoints, duplicated rows, rows and queries a few
+    ulps apart (near-ties at every position, the k-th included), scales from
+    1e-3 to 1e3, and query counts on both sides of a block boundary."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    coordinate = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))
+    rows = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    matrix = np.array(rows) * scale
+    for i in range(1, n):
+        if draw(st.booleans()):
+            matrix[i] = matrix[draw(st.integers(0, i - 1))]
+    for i in range(n):
+        steps = draw(st.integers(-3, 3))
+        if steps:
+            c = draw(st.integers(0, dim - 1))
+            matrix[i, c] = nudged(matrix[i, c], steps)
+    model = ClassifierModel([f"c{i:02d}" for i in range(n)], matrix, [1] * n)
+    block = classifier._BLOCK_ROWS
+    n_queries = draw(st.sampled_from([1, 2, 5, block - 1, block, block + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    queries = []
+    for _ in range(n_queries):
+        a, b = matrix[rng.integers(n)], matrix[rng.integers(n)]
+        shape = rng.integers(5)
+        if shape == 0:
+            q = rng.integers(-3, 4, dim) * scale
+        elif shape == 1:
+            q = a.copy()
+        elif shape == 2:
+            q = (a + b) / 2
+        elif shape == 3:
+            q = a.copy()
+            c = rng.integers(dim)
+            q[c] = nudged(q[c], int(rng.integers(-3, 4)))
+        else:
+            q = rng.standard_normal(dim) * scale
+        queries.append((model.labels[rng.integers(n)], EmbeddingVector(q)))
+    k = draw(st.integers(1, n + 2))
+    return model, queries, k
 
 
 def random_training_set(n_classes, n_shot, dim, seed=0, provider=None):
@@ -108,6 +170,37 @@ class TestClassifyTopK:
             oracle_labels = tuple(label for _, label in scored)
             assert classify_topk(model, q, len(protos)).labels() == oracle_labels
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=screened_cases())
+    def test_screen_and_rescore_match_the_full_scan_bitwise(self, case):
+        model, test, k = case
+        oracle = [full_scan_entries(model, vec, k) for _, vec in test]
+        for (_, vec), expected in zip(test, oracle):
+            assert bits(classify_topk(model, vec, k).entries) == bits(expected)
+        # the batched path, in blocks, as evaluate_topk ranks
+        ranked = classifier._rank(model, [vec for _, vec in test], k)
+        assert [bits(e) for e in ranked] == [bits(e) for e in oracle]
+        ks = sorted({1, k, len(model) + 2})
+        with_max_k = [full_scan_entries(model, vec, max(ks)) for _, vec in test]
+        expected_acc = {
+            j: sum(label in [l for l, _ in e[:j]] for (label, _), e in zip(test, with_max_k))
+            / len(test)
+            for j in ks
+        }
+        assert evaluate_topk(model, test, ks) == expected_acc
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_distances_match_the_full_scan(self):
+        # squared norms overflow to inf, so every row is rescored
+        model = build_prototypes([("a", vec(1e200, 0.0)), ("b", vec(0.0, 1e200)), ("c", vec(1.0, 1.0))])
+        for q in (vec(0.0, 0.0), vec(-1e200, 0.0), vec(1.0, 1.0)):
+            assert bits(classify_topk(model, q, 2).entries) == bits(full_scan_entries(model, q, 2))
+
+    def test_k_below_one(self):
+        model = build_prototypes([("a", vec(1.0, 0.0))])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            classify_topk(model, vec(1.0, 0.0), 0)
+
     def test_translation_equivariance(self):
         provider = StubEmbeddingProvider(dim=12)
         pairs = random_training_set(8, 3, dim=12, seed=5, provider=provider)
@@ -156,6 +249,12 @@ class TestEvaluateTopK:
         model = build_prototypes(pairs[:80])
         accs = evaluate_topk(model, pairs[80:], [1, 3, 5])
         assert accs[1] <= accs[3] <= accs[5]
+
+    def test_every_query_is_checked(self):
+        model = build_prototypes([("a", vec(1.0, 0.0))])
+        test = [("a", vec(1.0, 0.0))] * (classifier._BLOCK_ROWS + 1) + [("a", vec(1.0,))]
+        with pytest.raises(DimensionMismatchError):
+            evaluate_topk(model, test, [1])
 
     def test_empty_test_set(self):
         model = build_prototypes([("a", vec(1.0,))])

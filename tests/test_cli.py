@@ -249,6 +249,34 @@ class TestModelCommands:
         assert accs[0] <= accs[1] <= accs[2]
         assert json.loads(report.read_text(encoding="utf-8")) == doc
 
+    @pytest.mark.parametrize(
+        "command, value, message",
+        [
+            ("classify", "0", "--k must be >= 1, got 0"),
+            ("eval-topk", "0", "every k in --ks must be >= 1, got '0'"),
+            ("eval-topk", "0,3", "every k in --ks must be >= 1, got '0,3'"),
+            ("eval-topk", ",", "--ks names no k, got ','"),
+            ("eval-topk", "x", "--ks must be comma-separated integers, got 'x'"),
+        ],
+        ids=["k_0", "ks_0", "ks_0_3", "ks_comma", "ks_x"],
+    )
+    def test_bad_k_is_a_config_error_before_any_work(
+        self, runner, tmp_path, monkeypatch, command, value, message
+    ):
+        _, manifest, _ = make_run_fixture(tmp_path, n_characters=3)
+        model = tmp_path / "model.bin"
+        invoke(runner, "train", "--manifest", str(manifest), "--out", str(model))
+        embedded = []
+        monkeypatch.setattr(StubEmbeddingProvider, "embed_image", lambda self, data: embedded.append(data))
+        if command == "classify":
+            args = ["--image", str(tmp_path / "images" / "char0000.png"), "--k", value]
+        else:
+            args = ["--manifest", str(manifest), "--ks", value]
+        result = runner.invoke(main, [command, "--model", str(model), *args])
+        assert result.exit_code == 1
+        assert f"ConfigError: {message}" in result.output
+        assert embedded == []
+
 
 class TestGraphCommands:
     def test_build_and_query(self, runner, tmp_path):
@@ -410,7 +438,13 @@ class TestRunCommand:
         }]
 
     @pytest.mark.parametrize(
-        "bad_id", ["", ".", "..", "../escaped", "sub/char0000", "a\\b", "run_manifest", "duplicate"]
+        "bad_id",
+        [
+            "", ".", "..", "../escaped", "sub/char0000", "a\\b", "run_manifest", "duplicate",
+            # the temp name ".{id}.json.{32 hex}" is 255 bytes at 72 Han characters
+            pytest.param("漢" * 73, id="han_73"),
+            pytest.param("x" * 300, id="ascii_300"),
+        ],
     )
     def test_id_that_cannot_name_a_result_file_is_rejected_up_front(
         self, runner, tmp_path, monkeypatch, bad_id
@@ -436,6 +470,21 @@ class TestRunCommand:
         assert f"MalformedInputError: character id {bad_id!r}" in result.output
         assert not (tmp_path / "run").exists()
         assert chat_calls == []
+
+    def test_longest_id_that_names_a_result_file_runs(self, runner, tmp_path):
+        corpus, _, explanations = make_run_fixture(tmp_path, n_characters=2)
+        longest = "漢" * 72  # 216 bytes, so the writer's temp name is 255 bytes
+        chars = (replace(corpus.characters[0], character_id=longest), corpus.characters[1])
+        manifest = tmp_path / "long.ldjson"
+        write_manifest(replace(corpus, characters=chars), manifest)
+        out_dir = tmp_path / "out"
+        result = invoke(
+            runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
+            "--explanations", str(explanations), "--mock", "--image-root", str(tmp_path),
+        )
+        assert result.exit_code == 0
+        assert (out_dir / f"{longest}.json").is_file()
+        assert (out_dir / "evidence" / f"{longest}.json").is_file()
 
     def test_run_requires_backend_or_mock(self, runner, tmp_path):
         _, manifest, _ = make_run_fixture(tmp_path, n_characters=2)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +296,16 @@ def test_manifest_round_trip_keeps_unicode_line_separators(tmp_path):
     path = tmp_path / "manifest.ldjson"
     write_manifest(Corpus((char,), (), frozenset()), path)
     assert read_manifest(path).characters == (char,)
+
+
+@pytest.mark.parametrize("labels", ["hand", ["hand", 5], {"hand": 1}, None])
+def test_component_labels_must_be_a_list_of_strings(tmp_path, labels):
+    path = tmp_path / "manifest.ldjson"
+    good = {"kind": "character", "character_id": "c0", "component_labels": ["roof"]}
+    bad = {"kind": "character", "character_id": "c1", "component_labels": labels}
+    path.write_text("\n".join(json.dumps(r) for r in (good, bad)) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedInputError, match=re.escape(f"{path}:2: component_labels must be a list")):
+        read_manifest(path)
 
 
 def test_vocabulary_loader(tmp_path):
