@@ -123,6 +123,8 @@ def evaluate_topk(
     """ACC@k: fraction of test items whose label is among the k nearest."""
     if not test:
         raise EmptyInputError("no test samples")
+    if not ks or min(ks) < 1:
+        raise ValueError(f"ks must name at least one k, each >= 1, got {list(ks)}")
     ranked = _rank(model, [vec for _, vec in test], max(ks))
     hits = {k: 0 for k in ks}
     for (label, _), entries in zip(test, ranked):

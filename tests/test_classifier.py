@@ -256,6 +256,12 @@ class TestEvaluateTopK:
         with pytest.raises(DimensionMismatchError):
             evaluate_topk(model, test, [1])
 
+    @pytest.mark.parametrize("ks", [[], [0, 3], [-2, 1]])
+    def test_every_k_must_be_at_least_one(self, ks):
+        model = build_prototypes([("a", vec(1.0, 0.0)), ("b", vec(0.0, 1.0))])
+        with pytest.raises(ValueError, match="ks must name at least one k, each >= 1"):
+            evaluate_topk(model, [("a", vec(1.0, 0.0))], ks)
+
     def test_empty_test_set(self):
         model = build_prototypes([("a", vec(1.0,))])
         with pytest.raises(EmptyInputError, match="no test samples"):
