@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IncompleteMatrixError, NoPairableValuesError
+from .errors import IncompleteMatrixError, MalformedInputError, NoPairableValuesError
 
 LIKERT_SCALE = (1, 5)
 
@@ -61,16 +61,22 @@ class RatingMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RatingMatrix":
-        """Plain numeric CSV, one item per row, empty cells for missing,
-        checked against the Likert scale."""
+        """Plain numeric UTF-8 CSV, one item per row, empty cells for missing,
+        checked against the Likert scale. A file that is not one raises
+        ``MalformedInputError``."""
         rows = []
-        with open(path, newline="", encoding="utf-8") as handle:
-            for record in csv.reader(handle):
-                if not record or all(not cell.strip() for cell in record):
-                    continue
-                rows.append(
-                    tuple(float(cell) if cell.strip() else None for cell in record)
-                )
+        try:
+            with open(path, newline="", encoding="utf-8") as handle:
+                for record in csv.reader(handle):
+                    if not record or all(not cell.strip() for cell in record):
+                        continue
+                    rows.append(
+                        tuple(float(cell) if cell.strip() else None for cell in record)
+                    )
+        # a cell that is not a number, bytes that are not UTF-8 (also a
+        # ValueError) or a field past the csv module's size limit
+        except (ValueError, csv.Error) as exc:
+            raise MalformedInputError(f"{path} is not a numeric UTF-8 CSV: {exc}") from exc
         return cls.from_rows(rows)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import tempfile
 from pathlib import Path
 
 import click
@@ -25,17 +26,10 @@ from .classifier import (
 )
 from .dataset import ComponentRecord, Corpus, read_manifest, write_manifest
 from .embedding import EmbeddingProvider, provider_from_env
-from .errors import ConfigError, MalformedInputError, ObsError
+from .errors import DOMAIN_ERRORS, ConfigError, MalformedInputError
 from .inference import InterpretationResult
-from .pipeline import (
-    PipelineBackends,
-    PipelineConfig,
-    interpret_character,
-    run_pipeline,
-    write_json,
-)
+from .pipeline import PipelineBackends, PipelineConfig, run_pipeline, write_json
 from .report import EvalConfig, evaluate_run
-from .retrieval import SemanticCache
 
 
 def _emit(doc: dict) -> None:
@@ -63,15 +57,15 @@ def _configured(backend):
 def domain_errors(fn):
     """Translate typed pipeline errors and file-system errors into exit code 1.
 
-    The pair is the one ``run_pipeline`` isolates per character; an output
-    path in a missing directory ends here as ``FileNotFoundError``.
+    ``DOMAIN_ERRORS`` is also what ``run_pipeline`` isolates per character;
+    an output path in a missing directory ends here as ``FileNotFoundError``.
     """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ObsError, OSError) as exc:
+        except DOMAIN_ERRORS as exc:
             raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
     return wrapper
@@ -291,23 +285,29 @@ def query(graph_path, tool, argument):
 @click.option("--character-ref", default=None)
 @domain_errors
 def interpret(graph_path, model_path, image, mode, lang, k, out, dump_evidence, mock, character_ref):
-    """Interpret a single character image end to end."""
+    """Interpret a single character image end to end.
+
+    This is a one-record ``obs run``: it refuses the character ids that
+    ``obs run`` refuses, prints what that run writes for the character
+    (with its evidence file under --dump-evidence) from a temporary run
+    directory, and leaves no file behind but --out.
+    """
     backends = _configured(PipelineBackends.offline() if mock else PipelineBackends.from_env())
     provider = provider_from_env()
     model = load_model(model_path, expected_provider=provider.name)
     graph = kg.load_graph(graph_path)
     config = PipelineConfig(mode=mode, language=lang, top_k=k, mock=mock)
-    record = dataset.CharacterRecord(
-        character_id=character_ref or Path(image).stem,
-        image_ref=str(image),
-    )
-    cache = SemanticCache.from_config(provider, config.retrieval)
-    result, evidence = interpret_character(
-        record, None, provider, model, graph, cache, backends, config
-    )
-    doc = result.to_json()
-    if dump_evidence:
-        doc["evidence"] = evidence.to_json()
+    cid = character_ref or Path(image).stem
+    record = dataset.CharacterRecord(character_id=cid, image_ref=str(image))
+    with tempfile.TemporaryDirectory() as run_dir:
+        results, failures, _ = run_pipeline(
+            Corpus((record,), ()), provider, model, graph, backends, config, out_dir=run_dir
+        )
+        if failures:
+            raise click.ClickException(failures[0].error)
+        doc = results[0].to_json()
+        if dump_evidence:
+            doc["evidence"] = _read_json_object(Path(run_dir) / "evidence" / f"{cid}.json")
     if out:
         write_json(out, doc)
     _emit(doc)

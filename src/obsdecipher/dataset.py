@@ -304,9 +304,14 @@ def split_corpus(
 # --- manifest and vocabulary files -----------------------------------------
 
 def load_vocabulary(path: str | Path) -> frozenset[str]:
-    """One label per line, UTF-8, blank lines ignored."""
+    """One label per line, UTF-8, blank lines ignored; other bytes raise
+    ``MalformedInputError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not UTF-8 text: {exc}") from exc
     labels = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         label = line.strip()
         if label:
             labels.add(label)

@@ -11,6 +11,10 @@ class ObsError(Exception):
     """Base class for all pipeline errors."""
 
 
+# what ``run_pipeline`` isolates per character and the CLI reports with exit 1
+DOMAIN_ERRORS = (ObsError, OSError)
+
+
 # --- ingest ---------------------------------------------------------------
 
 class MalformedInputError(ObsError):

@@ -1,8 +1,9 @@
 """End-to-end orchestration: classify, retrieve, infer, interpret, persist.
 
 Characters are processed independently, on the calling thread at
-concurrency 1 and under a bounded worker pool above that; per-character
-failures are recorded and never abort the run. The emitted run manifest
+concurrency 1 and under a bounded worker pool above that. An ``ObsError``
+or ``OSError`` in one character is recorded as its ``RunFailure`` and the
+run goes on; any other exception aborts the run. The emitted run manifest
 fingerprints every input (model, graph, templates, backends, config) so
 reported numbers stay attributable and reruns are comparable by hash.
 
@@ -30,7 +31,7 @@ from .backends import ChatBackend, OfflineChatBackend, backend_from_env
 from .classifier import ClassifierModel, classify_topk
 from .dataset import CharacterRecord, Corpus
 from .embedding import EmbeddingProvider, embed_image
-from .errors import ConfigError, MalformedInputError, ObsError
+from .errors import DOMAIN_ERRORS, ConfigError, MalformedInputError
 from .inference import (
     InterpretationResult,
     generate_interpretation_multiagent,
@@ -170,18 +171,21 @@ def run_pipeline(
     character id cannot name its own result file under ``out_dir``.
     """
     _check_result_names(corpus.characters)
-    cache = SemanticCache.from_config(provider, config.retrieval)
+    cache = SemanticCache(
+        provider,
+        threshold=config.retrieval.cache_threshold,
+        capacity=config.retrieval.cache_capacity,
+    )
     root = Path(image_root) if image_root is not None else None
 
     def attempt(record: CharacterRecord):
-        """(id, (result, bundle), None) on success, (id, None, error) on failure."""
+        """(result, evidence bundle) on success, a RunFailure on failure."""
         try:
-            pair = interpret_character(
+            return interpret_character(
                 record, root, provider, model, graph, cache, backends, config
             )
-            return record.character_id, pair, None
-        except (ObsError, OSError) as exc:
-            return record.character_id, None, f"{type(exc).__name__}: {exc}"
+        except DOMAIN_ERRORS as exc:
+            return RunFailure(record.character_id, f"{type(exc).__name__}: {exc}")
 
     # concurrency 1 stays on the calling thread: sending it through a
     # 1-thread pool raised peak RSS by about 10% on a 1,000-label run
@@ -191,15 +195,15 @@ def run_pipeline(
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
             outcomes = list(pool.map(attempt, corpus.characters))
 
-    results = [pair[0] for _, pair, _ in outcomes if pair is not None]
-    bundles = [pair[1] for _, pair, _ in outcomes if pair is not None]
-    failures = [RunFailure(cid, err) for cid, _, err in outcomes if err is not None]
+    failures = [o for o in outcomes if isinstance(o, RunFailure)]
+    pairs = [o for o in outcomes if not isinstance(o, RunFailure)]
+    results = [result for result, _ in pairs]
 
     manifest = _run_manifest(results, failures, model, graph, backends, config)
     if out_dir is not None:
         out = Path(out_dir)
         (out / "evidence").mkdir(parents=True, exist_ok=True)
-        for result, bundle in zip(results, bundles):
+        for result, bundle in pairs:
             write_json(out / f"{result.character_ref}.json", result.to_json())
             write_json(out / "evidence" / f"{result.character_ref}.json", bundle.to_json())
         write_json(out / "run_manifest.json", manifest)

@@ -171,11 +171,6 @@ class SemanticCache:
         self._last_miss = threading.local()
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_config(cls, provider: EmbeddingProvider, config: RetrievalConfig) -> "SemanticCache":
-        """The cache a run configured by ``config`` shares across characters."""
-        return cls(provider, threshold=config.cache_threshold, capacity=config.cache_capacity)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

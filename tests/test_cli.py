@@ -101,6 +101,21 @@ class TestIngestStatsSplit:
         assert result.exit_code == 1
         assert "UnknownLabel" in result.output
 
+    def test_vocabulary_that_is_not_utf8_is_domain_error(self, runner, tmp_path):
+        ann_dir = tmp_path / "ann"
+        ann_dir.mkdir()
+        write_annotation(ann_dir / "char0.json", image_path="char0.png")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(b"hand\n\xff\xfe\n")
+        result = runner.invoke(
+            main,
+            ["ingest", "--annotations", str(ann_dir), "--vocab", str(vocab),
+             "--out", str(tmp_path / "out.ldjson")],
+        )
+        assert result.exit_code == 1
+        assert f"MalformedInputError: {vocab} is not UTF-8 text" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_split_partition(self, runner, tmp_path):
         _, manifest, _ = make_run_fixture(tmp_path, n_characters=12)
         out_train = tmp_path / "train.ldjson"
@@ -358,6 +373,49 @@ class TestInterpretCommand:
         assert "evidence" in doc
         assert doc["evidence"]["character_ref"] == corpus.characters[0].character_id
 
+    @pytest.mark.parametrize("mode", ["vlm", "multi_agent"])
+    def test_interpret_prints_what_a_one_character_run_writes(self, runner, tmp_path, mode):
+        corpus, model, graph = self.build_artifacts(runner, tmp_path)
+        char = corpus.characters[3]
+        manifest = tmp_path / "one.ldjson"
+        write_manifest(replace(corpus, characters=(char,), components=()), manifest)
+        out_dir = tmp_path / "run"
+        invoke(runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
+               "--model", str(model), "--graph", str(graph), "--mode", mode, "--mock",
+               "--image-root", str(tmp_path))
+        result = invoke(
+            runner, "interpret", "--graph", str(graph), "--model", str(model),
+            "--image", str(tmp_path / char.image_ref), "--mode", mode, "--mock",
+            "--dump-evidence", "--character-ref", char.character_id,
+        )
+        assert result.exit_code == 0
+        written = json.loads((out_dir / f"{char.character_id}.json").read_text(encoding="utf-8"))
+        evidence = out_dir / "evidence" / f"{char.character_id}.json"
+        assert last_json(result.output) == {
+            **written, "evidence": json.loads(evidence.read_text(encoding="utf-8"))
+        }
+
+    @pytest.mark.parametrize(
+        "image_bytes,ref,message",
+        [
+            (b"", "char0000", "EmptyInputError: image bytes are empty"),
+            # interpret refuses the ids that obs run refuses
+            (b"PNGFAKE", "a/b", "MalformedInputError: character id 'a/b' cannot name a result file"),
+        ],
+        ids=["empty_image", "id_with_a_slash"],
+    )
+    def test_bad_input_is_domain_error(self, runner, tmp_path, image_bytes, ref, message):
+        _, model, graph = self.build_artifacts(runner, tmp_path)
+        image = tmp_path / "query.png"
+        image.write_bytes(image_bytes)
+        result = runner.invoke(main, [
+            "interpret", "--graph", str(graph), "--model", str(model), "--image", str(image),
+            "--mock", "--character-ref", ref,
+        ])
+        assert result.exit_code == 1
+        assert f"Error: {message}\n" in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestEvaluateCommand:
     def test_offline_evaluation(self, runner, tmp_path):
@@ -396,6 +454,19 @@ class TestAgreementCommand:
         doc = last_json(result.output)
         assert doc["stat"] == "alpha"
         assert doc["value"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"1,2\n3,abc\n", b"1,2\n3,\xff\n", b"1," + b"2" * 200_000 + b"\n"],
+        ids=["non_numeric_cell", "not_utf8", "field_over_the_csv_limit"],
+    )
+    def test_malformed_csv_is_domain_error(self, runner, tmp_path, content):
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(content)
+        result = runner.invoke(main, ["agreement", "--ratings", str(path), "--stat", "icc3"])
+        assert result.exit_code == 1
+        assert f"MalformedInputError: {path} is not a numeric UTF-8 CSV" in result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestRunCommand:

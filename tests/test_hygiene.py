@@ -182,3 +182,46 @@ def test_no_reads_of_another_objects_private_attributes():
 def test_private_read_checker_exempts_only_self_and_cls():
     tree = ast.parse("self._a\ncls._b\nmodel._c\nx.__len__\nx.public\nf()._d\n")
     assert _foreign_private_reads(tree) == ["model._c (line 3)", "f()._d (line 6)"]
+
+
+SETTABLE_VALUES_CAP = 128
+
+
+def _settable_values(tree: ast.Module) -> tuple[int, int, int]:
+    """Click options, defaulted parameters (keyword-only ones included) and
+    dataclass fields with a default."""
+    options = params = fields = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "click.option":
+            options += 1
+        elif isinstance(node, ast.arguments):
+            params += len(node.defaults) + sum(d is not None for d in node.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            fields += sum(isinstance(m, ast.AnnAssign) and m.value is not None for m in node.body)
+    return options, params, fields
+
+
+def test_settable_values_do_not_grow():
+    """Every option, defaulted parameter and defaulted dataclass field is a
+    value a caller can set; the package may hold no more than it does now."""
+    counts = [_settable_values(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES]
+    options, params, fields = (sum(column) for column in zip(*counts))
+    total = options + params + fields
+    assert total <= SETTABLE_VALUES_CAP, (
+        f"{total} settable values ({options} click options, {params} defaulted parameters,"
+        f" {fields} defaulted dataclass fields), more than {SETTABLE_VALUES_CAP}"
+    )
+
+
+def test_settable_value_counter_counts_each_kind():
+    tree = ast.parse(
+        "@click.option('--a', default=1)\n@click.option('--b', is_flag=True)\n"
+        "def cmd(a, b):\n    pass\n"
+        "def f(x, y=1, *, z=2, w):\n    return lambda q=3: q\n"
+        "@dataclass(frozen=True)\nclass C:\n    p: int\n    q: int = 0\n"
+        "    r: list = field(default_factory=list)\n"
+        "class Plain:\n    s: int = 0\n"
+    )
+    assert _settable_values(tree) == (2, 3, 2)
