@@ -47,6 +47,8 @@ class TokenUsage:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "TokenUsage":
+        if not isinstance(doc, Mapping):
+            raise TypeError(f"token usage is {type(doc).__name__}, not an object")
         return cls(prompt=int(doc.get("prompt", 0)), completion=int(doc.get("completion", 0)))
 
 

@@ -370,39 +370,30 @@ def agreement(ratings, stat, level):
 @main.command()
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--explanations", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["vlm", "multi_agent"]), default="vlm", show_default=True)
 @click.option("--lang", type=click.Choice(["zh", "en"]), default="zh", show_default=True)
 @click.option("--image-root", type=click.Path(file_okay=False), default=None)
 @click.option("--concurrency", type=int, default=1, show_default=True)
 @click.option("--mock", is_flag=True, help="Run fully offline with deterministic backends.")
 @domain_errors
-def run(manifest, out_dir, graph_path, model_path, explanations, mode, lang,
-        image_root, concurrency, mock):
-    """Run the full pipeline over every character in a manifest."""
+def run(manifest, out_dir, graph_path, model_path, mode, lang, image_root, concurrency, mock):
+    """Run the full pipeline over every character in a manifest.
+
+    The model and the graph are the files ``obs train`` and ``obs build-kg``
+    write, built from annotated training data; the manifest names the
+    characters to interpret.
+    """
     backends = _configured(PipelineBackends.offline() if mock else PipelineBackends.from_env())
     provider = provider_from_env()
     corpus = read_manifest(manifest)
-    root = Path(image_root) if image_root else None
-
-    if model_path:
-        model = load_model(model_path, expected_provider=provider.name)
-    else:
-        model = build_prototypes(
-            _component_pairs(corpus, provider, root), provider_name=provider.name
-        )
-    if graph_path:
-        graph = kg.load_graph(graph_path)
-    else:
-        expl = _read_json_object(explanations) if explanations else {}
-        graph = kg.build_graph(corpus, expl, source_split=str(manifest))
-
+    model = load_model(model_path, expected_provider=provider.name)
+    graph = kg.load_graph(graph_path)
     config = PipelineConfig(mode=mode, language=lang, concurrency=concurrency, mock=mock)
     results, failures, run_manifest = run_pipeline(
         corpus, provider, model, graph, backends, config,
-        image_root=root, out_dir=out_dir,
+        image_root=Path(image_root) if image_root else None, out_dir=out_dir,
     )
     for failure in failures:
         click.echo(f"warning: {failure.character_id}: {failure.error}", err=True)

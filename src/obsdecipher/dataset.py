@@ -102,6 +102,19 @@ def parse_json_object(raw: bytes, what: str) -> dict:
     return doc
 
 
+def require_str(value: object, key: str) -> str:
+    """``value``, read from ``key`` of a JSON record, which must be a string."""
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} is {type(value).__name__}, not str")
+    return value
+
+
+def _optional_str(rec: Mapping, key: str) -> str | None:
+    """``rec[key]`` as a string, or None where the key is absent or null."""
+    value = rec.get(key)
+    return None if value is None else require_str(value, key)
+
+
 def parse_annotation(raw: bytes) -> AnnotationFile:
     """Parse one LabelMe-style JSON annotation into a validated AnnotationFile.
 
@@ -377,24 +390,26 @@ def read_manifest(path: str | Path) -> Corpus:
                     )
                 characters.append(
                     CharacterRecord(
-                        character_id=rec["character_id"],
-                        image_ref=rec.get("image_ref", ""),
+                        character_id=require_str(rec["character_id"], "character_id"),
+                        image_ref=require_str(rec.get("image_ref", ""), "image_ref"),
                         component_labels=tuple(labels),
-                        interpretation=rec.get("interpretation", "") or "",
-                        inscription_type=rec.get("inscription_type"),
-                        modern_form=rec.get("modern_form"),
-                        variant_group=rec.get("variant_group"),
+                        interpretation=_optional_str(rec, "interpretation") or "",
+                        inscription_type=_optional_str(rec, "inscription_type"),
+                        modern_form=_optional_str(rec, "modern_form"),
+                        variant_group=_optional_str(rec, "variant_group"),
                     )
                 )
             elif kind == "component":
                 components.append(
                     ComponentRecord(
-                        component_id=rec["component_id"],
-                        label=rec["label"],
-                        source_character_id=rec["source_character_id"],
+                        component_id=require_str(rec["component_id"], "component_id"),
+                        label=require_str(rec["label"], "label"),
+                        source_character_id=require_str(
+                            rec["source_character_id"], "source_character_id"
+                        ),
                         polygon=tuple((float(x), float(y)) for x, y in rec.get("polygon", ())),
-                        image_ref=rec.get("image_ref", ""),
-                        explanation=rec.get("explanation", "") or "",
+                        image_ref=require_str(rec.get("image_ref", ""), "image_ref"),
+                        explanation=_optional_str(rec, "explanation") or "",
                     )
                 )
             else:

@@ -18,6 +18,7 @@ from typing import Mapping
 
 from .backends import ChatBackend, ChatMessage, ChatRequest, TokenUsage
 from .classifier import RankedPrediction
+from .dataset import require_str
 from .errors import (
     BackendUnavailableError,
     EmptyInputError,
@@ -169,23 +170,33 @@ class InterpretationResult:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "InterpretationResult":
+        """Read a result file's document; a field of the wrong JSON type
+        raises TypeError."""
         itype = doc.get("inscription_type")
         return cls(
-            character_ref=doc["character_ref"],
+            character_ref=require_str(doc["character_ref"], "character_ref"),
             inscription_type=InscriptionType(itype) if itype else None,
-            reasoning_trace=doc.get("reasoning_trace", ""),
-            interpretation=doc["interpretation"],
+            reasoning_trace=require_str(doc.get("reasoning_trace", ""), "reasoning_trace"),
+            interpretation=require_str(doc["interpretation"], "interpretation"),
             evidence_used=tuple(doc.get("evidence_used", ())),
-            mode=doc["mode"],
-            backend_names=tuple(doc.get("backend_names", ())),
-            language=doc.get("language", "zh"),
-            template_ids=tuple(doc.get("template_ids", ())),
+            mode=require_str(doc["mode"], "mode"),
+            backend_names=_str_tuple(doc, "backend_names"),
+            language=require_str(doc.get("language", "zh"), "language"),
+            template_ids=_str_tuple(doc, "template_ids"),
             usage_by_backend=tuple(
-                (name, TokenUsage.from_json(usage))
+                (require_str(name, "usage_by_backend"), TokenUsage.from_json(usage))
                 for name, usage in doc.get("usage_by_backend", ())
             ),
             retrieval_fallback=bool(doc.get("retrieval_fallback", False)),
         )
+
+
+def _str_tuple(doc: Mapping, key: str) -> tuple[str, ...]:
+    """``doc[key]``, a list of strings that may be absent, as a tuple."""
+    values = doc.get(key, [])
+    if not isinstance(values, list):
+        raise TypeError(f"{key!r} is {type(values).__name__}, not a list")
+    return tuple(require_str(value, key) for value in values)
 
 
 def _user_message(prompt: str, image: bytes | None) -> ChatMessage:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from ._io import atomic_write_text
-from .dataset import Corpus
+from .dataset import Corpus, require_str
 from .errors import CorruptFileError, InconsistentCorpusError, NotFoundError
 
 
@@ -334,23 +334,23 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
             rec = json.loads(line.decode("utf-8"))
             t = rec.get("t")
             if t == "meta":
-                source_split = _text(rec.get("source_split", ""), "source_split")
+                source_split = require_str(rec.get("source_split", ""), "source_split")
             elif t == "node":
                 attrs = rec.get("attributes", {})
                 nodes.append(
                     Node(
-                        node_id=_text(rec["id"], "id"),
+                        node_id=require_str(rec["id"], "id"),
                         kind=NodeKind(rec["kind"]),
-                        label=_text(rec["label"], "label"),
-                        explanation=_text(rec.get("explanation", ""), "explanation"),
-                        attributes=tuple((k, _text(v, k)) for k, v in attrs.items()),
+                        label=require_str(rec["label"], "label"),
+                        explanation=require_str(rec.get("explanation", ""), "explanation"),
+                        attributes=tuple((k, require_str(v, k)) for k, v in attrs.items()),
                     )
                 )
             elif t == "edge":
                 edges.append(
                     Edge(
-                        src=_text(rec["from"], "from"),
-                        dst=_text(rec["to"], "to"),
+                        src=require_str(rec["from"], "from"),
+                        dst=require_str(rec["to"], "to"),
                         relation=Relation(rec["relation"]),
                     )
                 )
@@ -361,10 +361,3 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
             # the wrong type, an unknown kind
             raise CorruptFileError(f"graph file line {lineno} is malformed: {exc!r}") from exc
     return KnowledgeGraph(nodes, edges, source_split=source_split)
-
-
-def _text(value: object, key: str) -> str:
-    """``value``, read from ``key`` of a graph record, which must be a string."""
-    if not isinstance(value, str):
-        raise TypeError(f"{key!r} is {type(value).__name__}, not str")
-    return value

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from obsdecipher.backends import (
     ChatBackend,
@@ -12,6 +13,7 @@ from obsdecipher.backends import (
     _approx_tokens,
     _request_tokens,
 )
+from obsdecipher.cli import main
 from obsdecipher.dataset import (
     CharacterRecord,
     ComponentRecord,
@@ -177,3 +179,22 @@ def make_run_fixture(tmp_path: Path, n_characters=10, seed=3):
         json.dumps(fixture_explanations(corpus), ensure_ascii=False), encoding="utf-8"
     )
     return corpus, manifest, explanations
+
+
+def train_and_build_kg(manifest: Path, explanations: Path):
+    """Run ``obs train`` and ``obs build-kg`` on a run fixture's manifest, with
+    the manifest's directory as the image root, and return the paths of the
+    ``model.bin`` and ``graph.ldjson`` they write beside it: the two files
+    ``obs run`` reads. Paths are passed on as given, so a relative manifest
+    gives the graph a relative ``source_split``."""
+    root = Path(manifest).parent
+    model, graph = root / "model.bin", root / "graph.ldjson"
+    runner = CliRunner()
+    for args in (
+        ["train", "--manifest", str(manifest), "--out", str(model), "--image-root", str(root)],
+        ["build-kg", "--manifest", str(manifest), "--explanations", str(explanations),
+         "--out", str(graph)],
+    ):
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    return model, graph

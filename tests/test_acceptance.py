@@ -45,6 +45,7 @@ from conftest import (
     fixture_explanations,
     make_run_fixture,
     structurally_equal,
+    train_and_build_kg,
 )
 from test_agreement import alpha_oracle, icc3_oracle
 from test_retrieval import CountingGraph, fresh_cache
@@ -309,6 +310,7 @@ def test_criterion_8_end_to_end_offline_run(tmp_path, monkeypatch):
         monkeypatch.delenv(var, raising=False)
 
     corpus, manifest, explanations = make_run_fixture(tmp_path, n_characters=10, seed=8)
+    model, graph = train_and_build_kg(manifest, explanations)
     runner = CliRunner()
     started = time.monotonic()
     hashes = []
@@ -317,7 +319,7 @@ def test_criterion_8_end_to_end_offline_run(tmp_path, monkeypatch):
         result = runner.invoke(
             main,
             ["run", "--manifest", str(manifest), "--out-dir", str(out_dir),
-             "--explanations", str(explanations), "--mock",
+             "--model", str(model), "--graph", str(graph), "--mock",
              "--image-root", str(tmp_path)],
             catch_exceptions=False,
         )

@@ -13,7 +13,7 @@ from obsdecipher.cli import main
 from obsdecipher.dataset import read_manifest, write_manifest
 from obsdecipher.embedding import StubEmbeddingProvider
 
-from conftest import make_run_fixture, write_annotation
+from conftest import make_run_fixture, train_and_build_kg, write_annotation
 
 
 @pytest.fixture
@@ -163,7 +163,7 @@ def _json_input_command(command, tmp_path, bad_file):
         vocab.write_text("hand\n", encoding="utf-8")
         return ["ingest", "--annotations", str(ann_dir), "--vocab", str(vocab),
                 "--out", str(tmp_path / "out.ldjson"), "--metadata", str(bad_file)]
-    _, manifest, _ = make_run_fixture(tmp_path, n_characters=2)
+    _, manifest, explanations = make_run_fixture(tmp_path, n_characters=2)
     if command == "build-kg":
         return ["build-kg", "--manifest", str(manifest), "--explanations", str(bad_file),
                 "--out", str(tmp_path / "graph.ldjson")]
@@ -172,11 +172,12 @@ def _json_input_command(command, tmp_path, bad_file):
         results.mkdir()
         bad_file.rename(results / "char0000.json")
         return ["evaluate", "--results", str(results), "--gold", str(manifest)]
-    return ["run", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
-            "--explanations", str(bad_file), "--mock", "--image-root", str(tmp_path)]
+    model, graph = train_and_build_kg(manifest, explanations)
+    return ["run", "--manifest", str(bad_file), "--out-dir", str(tmp_path / "out"),
+            "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path)]
 
 
-# valid for the label -> text files of build-kg and run, malformed as metadata
+# valid as build-kg's label -> text file, malformed as metadata
 MALFORMED_METADATA = {"value_not_an_object": b'{"char0": "ideographic"}'}
 
 # well-formed JSON objects that lack a field the record requires
@@ -220,8 +221,9 @@ def _missing_dir_command(runner, command, tmp_path, missing):
         return ["eval-topk", "--model", str(model), "--manifest", str(manifest),
                 "--out", str(missing / "topk.json")]
     results = tmp_path / "results"
+    model, graph = train_and_build_kg(manifest, explanations)
     invoke(runner, "run", "--manifest", str(manifest), "--out-dir", str(results),
-           "--explanations", str(explanations), "--mock", "--image-root", str(tmp_path))
+           "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path))
     return ["evaluate", "--results", str(results), "--gold", str(manifest),
             "--metrics", "rouge1", "--out", str(missing / "report.json")]
 
@@ -237,6 +239,48 @@ def test_output_in_missing_directory_is_domain_error(runner, tmp_path, command):
     assert f"{missing}{os.sep}." not in result.output
     assert isinstance(result.exception, SystemExit)
     assert not missing.exists()
+
+
+# (field, record kind, command that reads it): the manifest field holds the number 5
+NON_STRING_FIELDS = [
+    ("character_id", "character", "split"),
+    ("character_id", "character", "run"),
+    ("image_ref", "component", "train"),
+    ("label", "component", "train"),
+    ("label", "component", "build-kg"),
+    ("interpretation", "character", "stats"),
+    ("variant_group", "character", "stats"),
+]
+
+
+@pytest.mark.parametrize(
+    "field,kind,command", NON_STRING_FIELDS,
+    ids=[f"{command}-{kind}_{field}" for field, kind, command in NON_STRING_FIELDS],
+)
+def test_manifest_field_that_is_not_a_string_is_domain_error(runner, tmp_path, field, kind, command):
+    _, good_manifest, explanations = make_run_fixture(tmp_path, n_characters=3)
+    lines = good_manifest.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if json.loads(line)["kind"] == kind)
+    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), field: 5})
+    manifest = tmp_path / "bad.ldjson"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if command == "run":
+        model, graph = train_and_build_kg(good_manifest, explanations)
+        args = ["--out-dir", str(tmp_path / "out"), "--model", str(model), "--graph", str(graph),
+                "--mock", "--image-root", str(tmp_path)]
+    else:
+        args = {
+            "split": ["--unit", "by_character", "--out-train", str(tmp_path / "train.ldjson"),
+                      "--out-test", str(tmp_path / "test.ldjson")],
+            "train": ["--out", str(tmp_path / "m.bin"), "--image-root", str(tmp_path)],
+            "build-kg": ["--out", str(tmp_path / "g.ldjson")],
+            "stats": [],
+        }[command]
+    result = runner.invoke(main, [command, "--manifest", str(manifest), *args])
+    assert result.exit_code == 1
+    assert f"MalformedInputError: {manifest}:{lineno}: malformed {kind} record" in result.output
+    assert f"'{field}' is int, not str" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 class TestModelCommands:
@@ -334,17 +378,12 @@ class TestGraphCommands:
 
 
 class TestInterpretCommand:
-    def build_artifacts(self, runner, tmp_path):
+    def build_artifacts(self, tmp_path):
         corpus, manifest, explanations = make_run_fixture(tmp_path, n_characters=8)
-        model = tmp_path / "model.bin"
-        graph = tmp_path / "graph.ldjson"
-        invoke(runner, "train", "--manifest", str(manifest), "--out", str(model))
-        invoke(runner, "build-kg", "--manifest", str(manifest),
-               "--explanations", str(explanations), "--out", str(graph))
-        return corpus, model, graph
+        return (corpus, *train_and_build_kg(manifest, explanations))
 
     def test_requires_backend_or_mock(self, runner, tmp_path):
-        corpus, model, graph = self.build_artifacts(runner, tmp_path)
+        corpus, model, graph = self.build_artifacts(tmp_path)
         image = tmp_path / corpus.characters[0].image_ref
         result = runner.invoke(
             main, ["interpret", "--graph", str(graph), "--model", str(model),
@@ -355,7 +394,7 @@ class TestInterpretCommand:
 
     @pytest.mark.parametrize("mode", ["vlm", "multi_agent"])
     def test_mock_interpret(self, runner, tmp_path, mode):
-        corpus, model, graph = self.build_artifacts(runner, tmp_path)
+        corpus, model, graph = self.build_artifacts(tmp_path)
         image = tmp_path / corpus.characters[0].image_ref
         out = tmp_path / "result.json"
         result = invoke(
@@ -375,7 +414,7 @@ class TestInterpretCommand:
 
     @pytest.mark.parametrize("mode", ["vlm", "multi_agent"])
     def test_interpret_prints_what_a_one_character_run_writes(self, runner, tmp_path, mode):
-        corpus, model, graph = self.build_artifacts(runner, tmp_path)
+        corpus, model, graph = self.build_artifacts(tmp_path)
         char = corpus.characters[3]
         manifest = tmp_path / "one.ldjson"
         write_manifest(replace(corpus, characters=(char,), components=()), manifest)
@@ -405,7 +444,7 @@ class TestInterpretCommand:
         ids=["empty_image", "id_with_a_slash"],
     )
     def test_bad_input_is_domain_error(self, runner, tmp_path, image_bytes, ref, message):
-        _, model, graph = self.build_artifacts(runner, tmp_path)
+        _, model, graph = self.build_artifacts(tmp_path)
         image = tmp_path / "query.png"
         image.write_bytes(image_bytes)
         result = runner.invoke(main, [
@@ -420,10 +459,11 @@ class TestInterpretCommand:
 class TestEvaluateCommand:
     def test_offline_evaluation(self, runner, tmp_path):
         corpus, manifest, explanations = make_run_fixture(tmp_path, n_characters=6)
+        model, graph = train_and_build_kg(manifest, explanations)
         out_dir = tmp_path / "results"
         invoke(
             runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
-            "--explanations", str(explanations), "--mock", "--image-root", str(tmp_path),
+            "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path),
         )
         report_path = tmp_path / "report.json"
         result = invoke(
@@ -437,6 +477,26 @@ class TestEvaluateCommand:
         for name in ("rouge1", "embedding_f1", "mover", "judge"):
             assert name in doc["aggregate"]
         assert len(doc["per_item"]) == 6
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("interpretation", 5), ("usage_by_backend", [["offline", 5]]), ("character_ref", ["x"]),
+         ("backend_names", "offline")],
+        ids=["interpretation_int", "usage_not_an_object", "character_ref_list",
+             "backend_names_a_string"],
+    )
+    def test_result_field_of_the_wrong_type_is_domain_error(self, runner, tmp_path, field, value):
+        _, manifest, _ = make_run_fixture(tmp_path, n_characters=2)
+        results = tmp_path / "results"
+        results.mkdir()
+        path = results / "char0000.json"
+        doc = {"character_ref": "char0000", "interpretation": "字", "mode": "vlm", field: value}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", "--results", str(results), "--gold", str(manifest),
+                                      "--metrics", "rouge1"])
+        assert result.exit_code == 1
+        assert f"MalformedInputError: {path}: not an interpretation result" in result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestAgreementCommand:
@@ -472,12 +532,13 @@ class TestAgreementCommand:
 class TestRunCommand:
     def test_mock_run_is_deterministic(self, runner, tmp_path):
         _, manifest, explanations = make_run_fixture(tmp_path, n_characters=5)
+        model, graph = train_and_build_kg(manifest, explanations)
         hashes = []
         for name in ("run1", "run2"):
             out_dir = tmp_path / name
             result = invoke(
                 runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
-                "--explanations", str(explanations), "--mock",
+                "--model", str(model), "--graph", str(graph), "--mock",
                 "--image-root", str(tmp_path),
             )
             assert result.exit_code == 0
@@ -489,12 +550,13 @@ class TestRunCommand:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_missing_image_is_isolated(self, runner, tmp_path, workers):
         corpus, manifest, explanations = make_run_fixture(tmp_path, n_characters=5)
+        model, graph = train_and_build_kg(manifest, explanations)
         missing = tmp_path / corpus.characters[2].image_ref
         missing.unlink()
         out_dir = tmp_path / "out"
         result = invoke(
             runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
-            "--explanations", str(explanations), "--mock", "--image-root", str(tmp_path),
+            "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path),
             "--concurrency", workers,
         )
         assert result.exit_code == 0
@@ -522,9 +584,7 @@ class TestRunCommand:
     ):
         # the graph comes from the intact manifest, which has no repeated id
         corpus, good_manifest, explanations = make_run_fixture(tmp_path, n_characters=3)
-        graph = tmp_path / "graph.ldjson"
-        invoke(runner, "build-kg", "--manifest", str(good_manifest),
-               "--explanations", str(explanations), "--out", str(graph))
+        model, graph = train_and_build_kg(good_manifest, explanations)
         if bad_id == "duplicate":
             bad_id = corpus.characters[0].character_id
         chars = (*corpus.characters[:2], replace(corpus.characters[2], character_id=bad_id))
@@ -535,7 +595,7 @@ class TestRunCommand:
         out_dir = tmp_path / "run" / "out"
         result = runner.invoke(main, [
             "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
-            "--graph", str(graph), "--mock", "--image-root", str(tmp_path),
+            "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path),
         ])
         assert result.exit_code == 1
         assert f"MalformedInputError: character id {bad_id!r}" in result.output
@@ -543,7 +603,8 @@ class TestRunCommand:
         assert chat_calls == []
 
     def test_longest_id_that_names_a_result_file_runs(self, runner, tmp_path):
-        corpus, _, explanations = make_run_fixture(tmp_path, n_characters=2)
+        corpus, good_manifest, explanations = make_run_fixture(tmp_path, n_characters=2)
+        model, graph = train_and_build_kg(good_manifest, explanations)
         longest = "漢" * 72  # 216 bytes, so the writer's temp name is 255 bytes
         chars = (replace(corpus.characters[0], character_id=longest), corpus.characters[1])
         manifest = tmp_path / "long.ldjson"
@@ -551,26 +612,79 @@ class TestRunCommand:
         out_dir = tmp_path / "out"
         result = invoke(
             runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
-            "--explanations", str(explanations), "--mock", "--image-root", str(tmp_path),
+            "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path),
         )
         assert result.exit_code == 0
         assert (out_dir / f"{longest}.json").is_file()
         assert (out_dir / "evidence" / f"{longest}.json").is_file()
 
     def test_run_requires_backend_or_mock(self, runner, tmp_path):
-        _, manifest, _ = make_run_fixture(tmp_path, n_characters=2)
+        _, manifest, explanations = make_run_fixture(tmp_path, n_characters=2)
+        model, graph = train_and_build_kg(manifest, explanations)
         result = runner.invoke(
-            main, ["run", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o")],
+            main, ["run", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o"),
+                   "--model", str(model), "--graph", str(graph)],
         )
         assert result.exit_code == 1
         assert "backend not configured" in result.output
 
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            (("--graph",), "Missing option '--model'"),
+            (("--model",), "Missing option '--graph'"),
+            (("--model", "--graph", "--explanations"), "No such option '--explanations'"),
+        ],
+        ids=["without_model", "without_graph", "with_explanations"],
+    )
+    def test_run_reads_exactly_a_model_and_a_graph_file(
+        self, runner, tmp_path, monkeypatch, options, message
+    ):
+        _, manifest, explanations = make_run_fixture(tmp_path, n_characters=2)
+        model, graph = train_and_build_kg(manifest, explanations)
+        paths = {"--model": model, "--graph": graph, "--explanations": explanations}
+        chat_calls = []
+        monkeypatch.setattr(OfflineChatBackend, "complete", lambda self, req: chat_calls.append(req))
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
+            *(arg for name in options for arg in (name, str(paths[name]))),
+            "--mock", "--image-root", str(tmp_path),
+        ])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out_dir.exists()
+        assert chat_calls == []
+
+    def test_model_trained_with_another_provider_is_refused(self, runner, tmp_path, monkeypatch):
+        class OtherProvider(StubEmbeddingProvider):
+            name = "other-encoder"
+
+        _, manifest, explanations = make_run_fixture(tmp_path, n_characters=2)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli_mod, "provider_from_env", lambda **_: OtherProvider())
+            model, graph = train_and_build_kg(manifest, explanations)
+        chat_calls = []
+        monkeypatch.setattr(OfflineChatBackend, "complete", lambda self, req: chat_calls.append(req))
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
+            "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        assert ("ProviderMismatchError: model was built with provider 'other-encoder',"
+                " queried with 'stub'") in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out_dir.exists()
+        assert chat_calls == []
+
     def test_multi_agent_mode_runs(self, runner, tmp_path):
         _, manifest, explanations = make_run_fixture(tmp_path, n_characters=3)
+        model, graph = train_and_build_kg(manifest, explanations)
         out_dir = tmp_path / "ma"
         result = invoke(
             runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
-            "--explanations", str(explanations), "--mock", "--mode", "multi_agent",
+            "--model", str(model), "--graph", str(graph), "--mock", "--mode", "multi_agent",
             "--image-root", str(tmp_path),
         )
         assert result.exit_code == 0
@@ -582,12 +696,13 @@ class TestRunCommand:
 
     def test_concurrency_matches_serial(self, runner, tmp_path):
         _, manifest, explanations = make_run_fixture(tmp_path, n_characters=6)
+        model, graph = train_and_build_kg(manifest, explanations)
         hashes = []
         for name, workers in (("serial", "1"), ("parallel", "4")):
             out_dir = tmp_path / name
             invoke(
                 runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
-                "--explanations", str(explanations), "--mock",
+                "--model", str(model), "--graph", str(graph), "--mock",
                 "--image-root", str(tmp_path), "--concurrency", workers,
             )
             doc = json.loads((out_dir / "run_manifest.json").read_text(encoding="utf-8"))
@@ -599,9 +714,10 @@ class TestRunCommand:
         # relative paths: the graph's source_split is the manifest path as given
         make_run_fixture(tmp_path, n_characters=10, seed=8)
         monkeypatch.chdir(tmp_path)
+        model, graph = train_and_build_kg(Path("corpus.ldjson"), Path("explanations.json"))
         invoke(
             runner, "run", "--manifest", "corpus.ldjson", "--out-dir", "out",
-            "--explanations", "explanations.json", "--mock", "--image-root", ".",
+            "--model", str(model), "--graph", str(graph), "--mock", "--image-root", ".",
             "--mode", mode,
         )
         doc = json.loads((tmp_path / "out" / "run_manifest.json").read_text(encoding="utf-8"))
@@ -623,13 +739,12 @@ class TestRunCommand:
                 threads.add(threading.get_ident())
                 return super().embed_text(text)
 
-        monkeypatch.setattr(cli_mod, "provider_from_env", lambda **_: RecordingProvider())
         _, manifest, explanations = make_run_fixture(tmp_path, n_characters=5)
+        model, graph = train_and_build_kg(manifest, explanations)
+        monkeypatch.setattr(cli_mod, "provider_from_env", lambda **_: RecordingProvider())
         invoke(
             runner, "run", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
-            "--explanations", str(explanations), "--mock", "--image-root", str(tmp_path),
+            "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path),
             "--concurrency", str(workers),
         )
-        caller = threading.get_ident()
-        assert caller in threads  # prototypes are built before the run starts
-        assert (threads == {caller}) == (workers == 1)
+        assert (threads == {threading.get_ident()}) == (workers == 1)
