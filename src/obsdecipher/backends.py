@@ -55,8 +55,6 @@ class TokenUsage:
 @dataclass(frozen=True)
 class ChatRequest:
     messages: tuple[ChatMessage, ...]
-    temperature: float = 0.0
-    model: str | None = None
 
     @property
     def text(self) -> str:
@@ -96,8 +94,10 @@ def _request_tokens(request: ChatRequest) -> int:
 class HttpChatBackend(ChatBackend):
     """Client for the chat wire protocol.
 
-    POST ``{model, temperature, messages:[{role, content|image_b64}]}``;
-    the service replies ``{content, usage:{prompt_tokens, completion_tokens}}``.
+    POST ``{model, temperature, messages:[{role, content|image_b64}]}``,
+    with the backend's own ``model`` and temperature 0 so that replies are
+    as repeatable as the service allows; the service replies
+    ``{content, usage:{prompt_tokens, completion_tokens}}``.
     The client sets no limit of its own on requests in flight: the caller's
     concurrency (``run_pipeline``'s pool) bounds them.
     """
@@ -119,8 +119,8 @@ class HttpChatBackend(ChatBackend):
                 doc["image_b64"] = m.image_b64
             messages.append(doc)
         body = {
-            "model": request.model or self.model,
-            "temperature": request.temperature,
+            "model": self.model,
+            "temperature": 0.0,
             "messages": messages,
         }
         headers = {}
@@ -157,9 +157,8 @@ class OfflineChatBackend(ChatBackend):
     pipeline run offline and reproducibly.
     """
 
-    def __init__(self, name: str = "offline-mock"):
-        self.name = name
-        self.supports_images = True
+    name = "offline-mock"
+    supports_images = True
 
     def _hash(self, text: str) -> int:
         digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()

@@ -57,8 +57,7 @@ def _configured(backend):
 def domain_errors(fn):
     """Translate typed pipeline errors and file-system errors into exit code 1.
 
-    ``DOMAIN_ERRORS`` is also what ``run_pipeline`` isolates per character;
-    an output path in a missing directory ends here as ``FileNotFoundError``.
+    An output path in a missing directory ends here as ``FileNotFoundError``.
     """
 
     @functools.wraps(fn)

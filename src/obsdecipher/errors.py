@@ -11,7 +11,7 @@ class ObsError(Exception):
     """Base class for all pipeline errors."""
 
 
-# what ``run_pipeline`` isolates per character and the CLI reports with exit 1
+# what the CLI reports with exit 1
 DOMAIN_ERRORS = (ObsError, OSError)
 
 

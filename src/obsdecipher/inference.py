@@ -28,7 +28,6 @@ from .errors import (
 from .kg import KnowledgeGraph
 from .retrieval import (
     EvidenceBundle,
-    RetrievalConfig,
     SemanticCache,
     ToolName,
     retrieve_evidence,
@@ -212,7 +211,7 @@ def _complete_with_retry(
     lang: str,
 ) -> tuple[dict, TokenUsage, bool]:
     """One call plus at most one corrective retry on a malformed reply."""
-    request = ChatRequest(messages=tuple(messages), temperature=0.0)
+    request = ChatRequest(messages=tuple(messages))
     resp = backend.complete(request)
     usage = resp.usage
     try:
@@ -223,7 +222,7 @@ def _complete_with_retry(
             ChatMessage(role="assistant", content=resp.content),
             ChatMessage(role="user", content=retry_prompt),
         ]
-        second = backend.complete(ChatRequest(messages=tuple(followup), temperature=0.0))
+        second = backend.complete(ChatRequest(messages=tuple(followup)))
         usage = usage + second.usage
         return parse_model_response(second.content, expected), usage, True
 
@@ -280,9 +279,7 @@ def generate_interpretation_vlm(
         predictions=render_predictions(predicted.entries),
         evidence=render_evidence(evidence.items, lang),
     )
-    resp = backend.complete(
-        ChatRequest(messages=(_user_message(prompt, image),), temperature=0.0)
-    )
+    resp = backend.complete(ChatRequest(messages=(_user_message(prompt, image),)))
     fields = parse_model_response(resp.content, "interpretation")
     return InterpretationResult(
         character_ref=evidence.character_ref,
@@ -326,7 +323,6 @@ def generate_interpretation_multiagent(
     graph: KnowledgeGraph,
     predicted: RankedPrediction,
     cache: SemanticCache,
-    config: RetrievalConfig,
     lang: str = "zh",
     character_ref: str = "",
 ) -> tuple[InterpretationResult, EvidenceBundle]:
@@ -341,7 +337,7 @@ def generate_interpretation_multiagent(
     plan_prompt = plan_template.render(predictions=render_predictions(predicted.entries))
     try:
         plan_resp = retriever.complete(
-            ChatRequest(messages=(ChatMessage(role="user", content=plan_prompt),), temperature=0.0)
+            ChatRequest(messages=(ChatMessage(role="user", content=plan_prompt),))
         )
     except BackendUnavailableError as exc:
         exc.agent = "retriever"
@@ -354,7 +350,6 @@ def generate_interpretation_multiagent(
         graph,
         predicted,
         cache,
-        config,
         character_ref=character_ref,
         planned_calls=calls,
     )

@@ -155,8 +155,9 @@ def llm_judge(backend: ChatBackend, candidate: str, reference: str) -> float:
     """Rubric-prompted semantic consistency score in [0, 1].
 
     The system rubric and the answer-format instruction are shipped verbatim
-    as frozen template files; the request is pinned to temperature 0 and the
-    reply is parsed as ``Score: <x>`` with two-decimal rounding.
+    as frozen template files; the hosted backend sends every request at
+    temperature 0, and the reply is parsed as ``Score: <x>`` with
+    two-decimal rounding.
     """
     system = load_template("judge_system")
     user = load_template("judge_user")
@@ -165,7 +166,6 @@ def llm_judge(backend: ChatBackend, candidate: str, reference: str) -> float:
             ChatMessage(role="system", content=system.body),
             ChatMessage(role="user", content=user.render(reference=reference, candidate=candidate)),
         ),
-        temperature=0.0,
     )
     resp = backend.complete(request)
     return parse_model_response(resp.content, "judge_score")["score"]

@@ -1,11 +1,14 @@
 """End-to-end orchestration: classify, retrieve, infer, interpret, persist.
 
 Characters are processed independently, on the calling thread at
-concurrency 1 and under a bounded worker pool above that. An ``ObsError``
-or ``OSError`` in one character is recorded as its ``RunFailure`` and the
-run goes on; any other exception aborts the run. The emitted run manifest
-fingerprints every input (model, graph, templates, backends, config) so
-reported numbers stay attributable and reruns are comparable by hash.
+concurrency 1 and under a bounded worker pool above that. Any ``Exception``
+raised while interpreting one character, whether a typed pipeline error, a
+file-system error or a fault in a provider or backend, is recorded as that
+character's ``RunFailure`` and the run goes on; only a ``BaseException``
+that is not an ``Exception`` (such as ``KeyboardInterrupt``) aborts it.
+The emitted run manifest fingerprints every input (model, graph,
+templates, backends, config) so reported numbers stay attributable and
+reruns are comparable by hash.
 
 Above concurrency 1 the workers share one semantic cache, so parts of an
 evidence file depend on thread timing: whether an item came from the graph
@@ -22,7 +25,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +34,7 @@ from .backends import ChatBackend, OfflineChatBackend, backend_from_env
 from .classifier import ClassifierModel, classify_topk
 from .dataset import CharacterRecord, Corpus
 from .embedding import EmbeddingProvider, embed_image
-from .errors import DOMAIN_ERRORS, ConfigError, MalformedInputError
+from .errors import ConfigError, MalformedInputError
 from .inference import (
     InterpretationResult,
     generate_interpretation_multiagent,
@@ -39,7 +42,7 @@ from .inference import (
     infer_relationship,
 )
 from .kg import KnowledgeGraph
-from .retrieval import RetrievalConfig, SemanticCache, retrieve_evidence
+from .retrieval import MAX_ITEMS, MIN_EVIDENCE, TOP_M, SemanticCache, retrieve_evidence
 
 _NAME_MAX = 255  # bytes in one file name on common Linux and macOS file systems
 
@@ -50,7 +53,6 @@ class PipelineConfig:
     language: str = "zh"
     top_k: int = 5
     concurrency: int = 1
-    retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     mock: bool = False
 
     def __post_init__(self):
@@ -115,9 +117,7 @@ def interpret_character(
     predicted = classify_topk(model, query, config.top_k)
 
     if config.mode == "vlm":
-        evidence = retrieve_evidence(
-            graph, predicted, cache, config.retrieval, character_ref=char.character_id
-        )
+        evidence = retrieve_evidence(graph, predicted, cache, character_ref=char.character_id)
         typed = infer_relationship(
             backends.chat, image, predicted, evidence, lang=config.language
         )
@@ -132,7 +132,6 @@ def interpret_character(
             graph,
             predicted,
             cache,
-            config.retrieval,
             lang=config.language,
             character_ref=char.character_id,
         )
@@ -171,11 +170,7 @@ def run_pipeline(
     character id cannot name its own result file under ``out_dir``.
     """
     _check_result_names(corpus.characters)
-    cache = SemanticCache(
-        provider,
-        threshold=config.retrieval.cache_threshold,
-        capacity=config.retrieval.cache_capacity,
-    )
+    cache = SemanticCache(provider)
     root = Path(image_root) if image_root is not None else None
 
     def attempt(record: CharacterRecord):
@@ -184,7 +179,7 @@ def run_pipeline(
             return interpret_character(
                 record, root, provider, model, graph, cache, backends, config
             )
-        except DOMAIN_ERRORS as exc:
+        except Exception as exc:
             return RunFailure(record.character_id, f"{type(exc).__name__}: {exc}")
 
     # concurrency 1 stays on the calling thread: sending it through a
@@ -199,7 +194,7 @@ def run_pipeline(
     pairs = [o for o in outcomes if not isinstance(o, RunFailure)]
     results = [result for result, _ in pairs]
 
-    manifest = _run_manifest(results, failures, model, graph, backends, config)
+    manifest = _run_manifest(results, failures, model, graph, cache, backends, config)
     if out_dir is not None:
         out = Path(out_dir)
         (out / "evidence").mkdir(parents=True, exist_ok=True)
@@ -241,11 +236,28 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _model_fingerprint(model: ClassifierModel) -> str:
+    """sha256 of the model as sorted-key JSON with the matrix bytes in hex.
+
+    The hex is fed to the digest row by row rather than built as one string.
+    """
+    head, _, tail = json.dumps(
+        {"dim": model.dim, "provider": model.provider_name, "labels": model.labels, "matrix": ""},
+        sort_keys=True,
+    ).partition('"matrix": ""')
+    digest = hashlib.sha256(f'{head}"matrix": "'.encode("ascii"))
+    for row in model.matrix:
+        digest.update(row.tobytes().hex().encode("ascii"))
+    digest.update(f'"{tail}'.encode("ascii"))
+    return digest.hexdigest()
+
+
 def _run_manifest(
     results: Sequence[InterpretationResult],
     failures: Sequence[RunFailure],
     model: ClassifierModel,
     graph: KnowledgeGraph,
+    cache: SemanticCache,
     backends: PipelineBackends,
     config: PipelineConfig,
 ) -> dict:
@@ -253,17 +265,6 @@ def _run_manifest(
         _sha256_text(json.dumps(r.to_json(), ensure_ascii=False, sort_keys=True))
         for r in results
     ]
-    model_fingerprint = _sha256_text(
-        json.dumps(
-            {
-                "dim": model.dim,
-                "provider": model.provider_name,
-                "labels": model.labels,
-                "matrix": model.matrix.tobytes().hex(),
-            },
-            sort_keys=True,
-        )
-    )
     graph_fingerprint = _sha256_text(
         json.dumps(
             {
@@ -279,8 +280,14 @@ def _run_manifest(
         "mode": config.mode,
         "language": config.language,
         "mock": config.mock,
-        "retrieval": asdict(config.retrieval),
-        "model_hash": model_fingerprint,
+        "retrieval": {
+            "top_m": TOP_M,
+            "min_evidence": MIN_EVIDENCE,
+            "max_items": MAX_ITEMS,
+            "cache_threshold": cache.threshold,
+            "cache_capacity": cache.capacity,
+        },
+        "model_hash": _model_fingerprint(model),
         "graph_hash": graph_fingerprint,
         "backend_names": sorted({backends.chat.name, backends.retriever.name, backends.reasoner.name}),
         "template_ids": sorted({tid for r in results for tid in r.template_ids}),

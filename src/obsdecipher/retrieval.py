@@ -1,17 +1,22 @@
 """Cascading evidence retrieval over the knowledge graph.
 
 The cascade is deliberately fixed: component-centric tool calls first
-(explanations, then containing characters, for the top-m predicted
+(explanations, then containing characters, for the ``TOP_M`` predicted
 components), then constrained internal synthesis (variant and modern-form
-lookups) only when the tool stage left the evidence thin. Every external
-tool query is routed through a semantic-similarity cache so repeated or
-near-duplicate queries in a workload are served without touching the graph.
+lookups) only when the tool stage found fewer than ``MIN_EVIDENCE`` distinct
+items, and at most ``MAX_ITEMS`` items reach the generation prompt. The
+three are constants, not settings: the paper's retrieval step is one fixed
+chain (identify the components, query the graph for them, infer the
+relationship), every run uses the same values, and the run manifest records
+them. Every external tool query is routed through a semantic-similarity
+cache so repeated or near-duplicate queries in a workload are served
+without touching the graph.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -22,6 +27,10 @@ from .classifier import RankedPrediction
 from .embedding import EmbeddingProvider, EmbeddingVector, embed_text
 from .errors import ConfigError, NotFoundError, ZeroNormError
 from .kg import KnowledgeGraph
+
+TOP_M = 3  # predicted components queried by the fixed stage-1 plan
+MIN_EVIDENCE = 3  # distinct stage-1 items below which stage 2 runs
+MAX_ITEMS = 12  # evidence items kept for the generation prompt
 
 
 class ToolName(str, Enum):
@@ -111,21 +120,6 @@ class EvidenceBundle:
         }
 
 
-@dataclass(frozen=True)
-class RetrievalConfig:
-    top_m: int = 3
-    min_evidence: int = 3
-    max_items: int = 12
-    cache_threshold: float = 0.95
-    cache_capacity: int = 1024  # checked, with the threshold, by SemanticCache
-
-    def __post_init__(self):
-        if self.top_m < 1:
-            raise ConfigError("top_m must be >= 1")
-        if self.min_evidence < 0 or self.max_items < 1:
-            raise ConfigError("min_evidence must be >= 0 and max_items >= 1")
-
-
 class SemanticCache:
     """LRU cache keyed by query-embedding similarity.
 
@@ -135,18 +129,18 @@ class SemanticCache:
     the hit becomes most-recently-used. Inserts evict the least-recently-used
     entry once capacity is exceeded. Capacity 0 disables the cache.
 
-    A query equal to a stored key is served from that key without embedding
-    anything (or, when other keys embed to bitwise the same vector, from the
-    earliest of them, as a scan would). Any other query is embedded once and
-    scored against every key with one mat-vec over a matrix of unit-normalized
-    key vectors, one row per entry. The matrix reserves up to 1,024 rows at
-    the first insert and doubles when full, up to ``capacity``; its pages are
-    committed as rows are written, and an evicted entry's row is reused. The
-    miss's vector is kept per thread so that the following ``insert`` of the
-    same text does not embed it again, which the provider contract
-    (embeddings are deterministic per input) makes safe. A zero-norm query
-    raises ``ZeroNormError`` when there is a key to compare it with; a
-    zero-norm key raises it on insert and is not stored.
+    A query equal to a stored key is served that key's own result without
+    embedding anything, even when another key embeds to the same vector.
+    Any other query is embedded once and scored against every key with one
+    mat-vec over a matrix of unit-normalized key vectors, one row per
+    entry. The matrix reserves up to 1,024 rows at the first insert and
+    doubles when full, up to ``capacity``; its pages are committed as rows
+    are written, and an evicted entry's row is reused. The miss's vector is
+    kept per thread so that the following ``insert`` of the same text does
+    not embed it again, which the provider contract (embeddings are
+    deterministic per input) makes safe. A zero-norm query raises
+    ``ZeroNormError`` when there is a key to compare it with; a zero-norm
+    key raises it on insert and is not stored.
 
     Similarity hits are not restricted to the same tool or argument: if an
     encoder puts ``component_explanation:人`` and ``component_explanation:入``
@@ -167,7 +161,6 @@ class SemanticCache:
         self._entries: "OrderedDict[str, tuple[int, tuple[EvidenceItem, ...]]]" = OrderedDict()
         self._matrix = np.empty((0, provider.dim))
         self._keys: list[str] = []
-        self._rows_alike: Counter[int] = Counter()  # row-bytes hash -> live rows
         self._last_miss = threading.local()
         self._lock = threading.Lock()
 
@@ -179,14 +172,7 @@ class SemanticCache:
         if self.capacity == 0:
             return None
         with self._lock:
-            entry = self._entries.get(query_text)
-            if entry is not None:
-                row = self._matrix[entry[0]]
-                if self._rows_alike[hash(row.tobytes())] > 1:
-                    query_text = next(
-                        key for key, (other, _) in self._entries.items()
-                        if np.array_equal(self._matrix[other], row)
-                    )
+            if query_text in self._entries:
                 return self._touch(query_text)
         vec = embed_text(self.provider, query_text)
         self._last_miss.entry = (query_text, vec)
@@ -216,9 +202,9 @@ class SemanticCache:
         unit = _unit(vec)
         with self._lock:
             if query_text in self._entries:
-                row = self._release(self._entries.pop(query_text)[0])
+                row = self._entries.pop(query_text)[0]
             elif len(self._entries) == self.capacity:
-                row = self._release(self._entries.popitem(last=False)[1][0])
+                row = self._entries.popitem(last=False)[1][0]
             else:
                 row = len(self._entries)
                 if row == len(self._matrix):
@@ -230,15 +216,7 @@ class SemanticCache:
                 self._keys.append(query_text)
             self._matrix[row] = unit
             self._keys[row] = query_text
-            self._rows_alike[hash(unit.tobytes())] += 1
             self._entries[query_text] = (row, tuple(result))
-
-    def _release(self, row: int) -> int:
-        digest = hash(self._matrix[row].tobytes())
-        self._rows_alike[digest] -= 1
-        if not self._rows_alike[digest]:
-            del self._rows_alike[digest]
-        return row
 
     def keys(self) -> tuple[str, ...]:
         with self._lock:
@@ -362,14 +340,13 @@ def synthesize_bundle(
     stage1: Sequence[EvidenceItem],
     stage2: Sequence[EvidenceItem],
     predicted: RankedPrediction,
-    config: RetrievalConfig,
 ) -> tuple[EvidenceItem, ...]:
     """Deduplicate, reorder and truncate the collected evidence.
 
     Fixed priority: explanations, then containing characters by descending
     co-component overlap with the predicted labels, then variants, then
-    modern mappings. The output depends only on the set of inputs, never on
-    their arrival order.
+    modern mappings, cut to ``MAX_ITEMS``. The output depends only on the set
+    of inputs, never on their arrival order.
     """
     pool: dict[tuple[EvidenceKind, str], EvidenceItem] = {}
     for item in list(stage1) + list(stage2):
@@ -394,14 +371,14 @@ def synthesize_bundle(
             return (kind_rank, -overlap, item.subject)
         return (kind_rank, 0, item.subject)
 
-    ordered = sorted(pool.values(), key=sort_key)[: config.max_items]
+    ordered = sorted(pool.values(), key=sort_key)[:MAX_ITEMS]
     return tuple(replace(item, rank=i) for i, item in enumerate(ordered))
 
 
-def plan_cascade_calls(predicted: RankedPrediction, config: RetrievalConfig) -> list[tuple[ToolName, str]]:
-    """The fixed component-centric stage-1 plan: both tools per top-m label."""
+def plan_cascade_calls(predicted: RankedPrediction) -> list[tuple[ToolName, str]]:
+    """The fixed component-centric stage-1 plan: both tools per ``TOP_M`` label."""
     calls: list[tuple[ToolName, str]] = []
-    for label, _ in predicted.entries[: config.top_m]:
+    for label, _ in predicted.entries[:TOP_M]:
         calls.append((ToolName.COMPONENT_EXPLANATION, label))
         calls.append((ToolName.CHARACTERS_BY_COMPONENT, label))
     return calls
@@ -411,7 +388,6 @@ def retrieve_evidence(
     graph: KnowledgeGraph,
     predicted: RankedPrediction,
     cache: SemanticCache,
-    config: RetrievalConfig,
     character_ref: str = "",
     planned_calls: Sequence[tuple[ToolName, str]] | None = None,
 ) -> EvidenceBundle:
@@ -423,23 +399,23 @@ def retrieve_evidence(
     if not predicted.entries:
         raise ValueError("predicted components must be non-empty")
 
-    calls = list(planned_calls) if planned_calls is not None else plan_cascade_calls(predicted, config)
+    calls = list(planned_calls) if planned_calls is not None else plan_cascade_calls(predicted)
     stage1, trace = execute_tool_calls(graph, calls, cache)
 
     distinct_stage1 = {(item.kind, item.subject) for item in stage1}
     stage2: list[EvidenceItem] = []
-    if len(distinct_stage1) < config.min_evidence:
+    if len(distinct_stage1) < MIN_EVIDENCE:
         candidates = [
             item.subject for item in stage1 if item.kind is EvidenceKind.CONTAINING_CHARACTER
         ]
         stage2 = internal_synthesis(graph, candidates)
 
-    items = synthesize_bundle(stage1, stage2, predicted, config)
+    items = synthesize_bundle(stage1, stage2, predicted)
     return EvidenceBundle(
         character_ref=character_ref,
-        predicted_components=tuple(predicted.entries[: config.top_m]),
+        predicted_components=tuple(predicted.entries[:TOP_M]),
         items=items,
         trace=tuple(trace),
-        sufficient=len(items) >= config.min_evidence,
-        min_evidence=config.min_evidence,
+        sufficient=len(items) >= MIN_EVIDENCE,
+        min_evidence=MIN_EVIDENCE,
     )

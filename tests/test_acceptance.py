@@ -35,11 +35,10 @@ from obsdecipher.metrics import (
     rouge1_f1,
     tokenize,
 )
-from obsdecipher.retrieval import RetrievalConfig, retrieve_evidence
+from obsdecipher.retrieval import retrieve_evidence
 from obsdecipher.templates import load_template
 
 from conftest import (
-    ScriptedChatBackend,
     build_fixture_corpus,
     canonical_json,
     fixture_explanations,
@@ -148,21 +147,20 @@ def test_criterion_4_cascade_determinism_and_cache():
     plain_graph = build_graph(corpus, fixture_explanations(corpus))
     labels = sorted(corpus.vocabulary)[:3]
     predicted = RankedPrediction(tuple((l, 0.1 * (i + 1)) for i, l in enumerate(labels)))
-    config = RetrievalConfig()
 
-    a = retrieve_evidence(plain_graph, predicted, fresh_cache(), config, character_ref="c")
-    b = retrieve_evidence(plain_graph, predicted, fresh_cache(), config, character_ref="c")
+    a = retrieve_evidence(plain_graph, predicted, fresh_cache(), character_ref="c")
+    b = retrieve_evidence(plain_graph, predicted, fresh_cache(), character_ref="c")
     assert canonical_json(a) == canonical_json(b)
 
     graph = CountingGraph(plain_graph)
     cache = fresh_cache()
-    bundle = retrieve_evidence(graph, predicted, cache, config)
+    bundle = retrieve_evidence(graph, predicted, cache)
     assert len(bundle.trace) == graph.external_calls == 6  # 2 tools x top-3
 
     # exact-repeat workload: 4 more retrievals, every tool query already cached,
     # so the hand-computed saving is 4 runs x 6 calls = 24
     for _ in range(4):
-        repeat = retrieve_evidence(graph, predicted, cache, config)
+        repeat = retrieve_evidence(graph, predicted, cache)
         assert len(repeat.trace) == 0
     assert graph.external_calls == 6
 
@@ -281,7 +279,7 @@ def test_criterion_6_agreement_statistics():
     ok("criterion 6", f"ICC3 worst err {worst:.1e}, alpha oracle + null hold")
 
 
-def test_criterion_7_judge_conformance():
+def test_criterion_7_judge_conformance(monkeypatch):
     system = load_template("judge_system").body
     user = load_template("judge_user").body
     assert "You are a rigorous semantic assessment expert" in system
@@ -294,9 +292,19 @@ def test_criterion_7_judge_conformance():
         with pytest.raises(UnparseableResponseError):
             parse_model_response(bad, "judge_score")
 
-    backend = ScriptedChatBackend(["Score: 0.92"])
-    assert llm_judge(backend, "candidate text", "reference text") == 0.92
-    assert backend.requests[0].temperature == 0.0
+    class Reply:
+        status_code = 200
+
+        def json(self):
+            return {"content": "Score: 0.92"}
+
+    sent = []
+    monkeypatch.setattr(
+        backends_mod.requests, "post", lambda url, json, headers, timeout: sent.append(json) or Reply()
+    )
+    hosted = backends_mod.HttpChatBackend("http://judge:8000")
+    assert llm_judge(hosted, "candidate text", "reference text") == 0.92
+    assert sent[0]["temperature"] == 0.0
     ok("criterion 7", "rubric verbatim, rounding + range checks, temperature 0")
 
 

@@ -33,7 +33,7 @@ class _FakeResponse:
 
 
 def _request(*messages):
-    return ChatRequest(messages=tuple(messages), temperature=0.3, model="m-request")
+    return ChatRequest(messages=tuple(messages))
 
 
 def _reply(content="ok", usage=None):
@@ -53,7 +53,7 @@ class TestHttpChatBackend:
 
     def test_request_body(self, monkeypatch):
         calls = self._capture(monkeypatch)
-        backend = HttpChatBackend("http://chat:8000/v1", model="m-default")
+        backend = HttpChatBackend("http://chat:8000/v1")
         backend.complete(
             _request(
                 ChatMessage(role="system", content="be brief"),
@@ -63,8 +63,8 @@ class TestHttpChatBackend:
         (call,) = calls
         assert call["url"] == "http://chat:8000/v1"
         assert call["json"] == {
-            "model": "m-request",
-            "temperature": 0.3,
+            "model": None,
+            "temperature": 0.0,
             "messages": [
                 {"role": "system", "content": "be brief"},
                 {"role": "user", "content": "what is it", "image_b64": "aW1n"},

@@ -455,6 +455,21 @@ class TestInterpretCommand:
         assert f"Error: {message}\n" in result.output
         assert isinstance(result.exception, SystemExit)
 
+    def test_backend_fault_is_an_error_not_a_traceback(self, runner, tmp_path, monkeypatch):
+        corpus, model, graph = self.build_artifacts(tmp_path)
+
+        def crash(self, request):
+            raise RuntimeError("backend crashed")
+
+        monkeypatch.setattr(OfflineChatBackend, "complete", crash)
+        result = runner.invoke(main, [
+            "interpret", "--graph", str(graph), "--model", str(model),
+            "--image", str(tmp_path / corpus.characters[0].image_ref), "--mock",
+        ])
+        assert result.exit_code == 1
+        assert "Error: RuntimeError: backend crashed\n" in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestEvaluateCommand:
     def test_offline_evaluation(self, runner, tmp_path):

@@ -23,12 +23,12 @@ from obsdecipher.inference import (
     parse_model_response,
     parse_tool_plan,
 )
+from obsdecipher import retrieval
 from obsdecipher.retrieval import (
     EvidenceBundle,
     EvidenceItem,
     EvidenceKind,
     EvidenceSource,
-    RetrievalConfig,
     SemanticCache,
     ToolName,
 )
@@ -152,7 +152,6 @@ class TestInferRelationship:
         assert typed.reasoning == "双手会意"
         assert typed.retried is False
         assert len(backend.requests) == 1
-        assert backend.requests[0].temperature == 0.0
         assert backend.requests[0].messages[0].image_b64 is not None
 
     def test_retry_corrects_malformed_reply(self):
@@ -249,7 +248,6 @@ class TestMultiAgent:
     def setup_method(self):
         self.graph = mini_graph()
         self.cache = SemanticCache(StubEmbeddingProvider(dim=64))
-        self.config = RetrievalConfig(top_m=1, min_evidence=1)
         self.predicted = RankedPrediction((("hand", 0.1),))
 
     def test_planned_calls_shape_the_trace(self):
@@ -262,7 +260,7 @@ class TestMultiAgent:
         )
         result, bundle = generate_interpretation_multiagent(
             retriever, reasoner, self.graph, self.predicted, self.cache,
-            self.config, lang="zh", character_ref="charA",
+            lang="zh", character_ref="charA",
         )
         assert result.mode == "multi_agent"
         assert result.retrieval_fallback is False
@@ -277,17 +275,18 @@ class TestMultiAgent:
         reasoner = ScriptedChatBackend(["INTERPRETATION: ok"], name="composer")
         result, bundle = generate_interpretation_multiagent(
             retriever, reasoner, self.graph, self.predicted, self.cache,
-            self.config, lang="en", character_ref="charA",
+            lang="en", character_ref="charA",
         )
         assert result.retrieval_fallback is True
         assert len(bundle.trace) == 2  # deterministic cascade ran instead
 
-    def test_token_usage_attributed_and_summed(self):
+    def test_token_usage_attributed_and_summed(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "MIN_EVIDENCE", 1)  # the one planned item suffices
         retriever = ScriptedChatBackend(["CALL component_explanation hand"], name="planner")
         reasoner = ScriptedChatBackend(["INTERPRETATION: done"], name="composer")
         result, _ = generate_interpretation_multiagent(
             retriever, reasoner, self.graph, self.predicted, self.cache,
-            self.config, lang="en",
+            lang="en",
         )
         parts = dict(result.usage_by_backend)
         total = TokenUsage()
@@ -302,17 +301,18 @@ class TestMultiAgent:
         reasoner = ScriptedChatBackend(["INTERPRETATION: x"], name="composer")
         with pytest.raises(BackendUnavailableError) as exc:
             generate_interpretation_multiagent(
-                retriever, reasoner, self.graph, self.predicted, self.cache, self.config
+                retriever, reasoner, self.graph, self.predicted, self.cache
             )
         assert exc.value.agent == "retriever"
 
-    def test_reasoner_may_be_text_only(self):
+    def test_reasoner_may_be_text_only(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "MIN_EVIDENCE", 1)  # the one planned item suffices
         retriever = ScriptedChatBackend(["CALL component_explanation hand"], name="planner")
         reasoner = ScriptedChatBackend(["INTERPRETATION: text only"], name="composer",
                                        supports_images=False)
         result, _ = generate_interpretation_multiagent(
             retriever, reasoner, self.graph, self.predicted, self.cache,
-            self.config, lang="en",
+            lang="en",
         )
         assert result.interpretation == "text only"
 
@@ -321,10 +321,9 @@ class TestMultiAgent:
         # the exact multiple is reported, not asserted
         vlm_backend = OfflineChatBackend()
         vlm = generate_interpretation_vlm(vlm_backend, b"img", PREDICTED, BUNDLE, lang="zh")
-        retriever, reasoner = OfflineChatBackend(name="r"), OfflineChatBackend(name="s")
         multi, _ = generate_interpretation_multiagent(
-            retriever, reasoner, self.graph, PREDICTED, self.cache,
-            RetrievalConfig(), lang="zh",
+            OfflineChatBackend(), OfflineChatBackend(), self.graph, PREDICTED, self.cache,
+            lang="zh",
         )
         def total(usage):
             return usage.prompt + usage.completion

@@ -223,7 +223,6 @@ class TestLlmJudge:
         backend = ScriptedChatBackend(["Score: 0.50"])
         llm_judge(backend, "the candidate", "the reference")
         request = backend.requests[0]
-        assert request.temperature == 0.0
         assert request.messages[0].role == "system"
         assert "You are a rigorous semantic assessment expert" in request.messages[0].content
         user = request.messages[1].content

@@ -5,6 +5,7 @@ import pytest
 from obsdecipher.classifier import RankedPrediction
 from obsdecipher.dataset import CharacterRecord, ComponentRecord, Corpus
 from obsdecipher.embedding import StubEmbeddingProvider, embed_text
+from obsdecipher import retrieval
 from obsdecipher.errors import ConfigError
 from obsdecipher.kg import build_graph
 from obsdecipher.retrieval import (
@@ -12,7 +13,6 @@ from obsdecipher.retrieval import (
     EvidenceItem,
     EvidenceKind,
     EvidenceSource,
-    RetrievalConfig,
     SemanticCache,
     ToolName,
     retrieve_evidence,
@@ -68,8 +68,7 @@ class TestCascade:
     def test_hand_walked_fixture(self):
         graph = CountingGraph(mini_graph())
         predicted = RankedPrediction((("hand", 0.1),))
-        config = RetrievalConfig(top_m=1, min_evidence=2)
-        bundle = retrieve_evidence(graph, predicted, fresh_cache(), config, character_ref="q1")
+        bundle = retrieve_evidence(graph, predicted, fresh_cache(), character_ref="q1")
         assert len(bundle.items) == 3  # explanation + 2 containing characters
         assert bundle.sufficient is True
         assert len(bundle.trace) == 2
@@ -80,13 +79,14 @@ class TestCascade:
     def test_absent_component_triggers_stage2(self):
         graph = mini_graph()
         predicted = RankedPrediction((("ghost", 0.2),))
-        config = RetrievalConfig(top_m=1, min_evidence=2)
-        bundle = retrieve_evidence(graph, predicted, fresh_cache(), config)
+        bundle = retrieve_evidence(graph, predicted, fresh_cache())
         assert bundle.items == ()
         assert bundle.sufficient is False
         assert len(bundle.trace) == 2  # the calls were made, they found nothing
 
-    def test_stage2_supplements_with_internal_lookups(self):
+    def test_stage2_supplements_with_internal_lookups(self, monkeypatch):
+        # four items in all: still short of five, so the bundle stays insufficient
+        monkeypatch.setattr(retrieval, "MIN_EVIDENCE", 5)
         chars = (
             CharacterRecord("c0", "x", ("hand",), interpretation="甲", variant_group="g",
                             modern_form="休"),
@@ -98,8 +98,8 @@ class TestCascade:
         )
         graph = build_graph(Corpus(chars, comps, frozenset({"hand", "roof"})))
         predicted = RankedPrediction((("hand", 0.3),))
-        config = RetrievalConfig(top_m=1, min_evidence=5)
-        bundle = retrieve_evidence(graph, predicted, fresh_cache(), config)
+        bundle = retrieve_evidence(graph, predicted, fresh_cache())
+        assert bundle.sufficient is False
         kinds = {i.kind for i in bundle.items}
         assert EvidenceKind.VARIANT in kinds
         assert EvidenceKind.MODERN_MAPPING in kinds
@@ -114,10 +114,9 @@ class TestCascade:
     def test_repeat_character_served_from_cache(self):
         graph = CountingGraph(mini_graph())
         predicted = RankedPrediction((("hand", 0.1),))
-        config = RetrievalConfig(top_m=1, min_evidence=2)
         cache = fresh_cache()
-        first = retrieve_evidence(graph, predicted, cache, config)
-        second = retrieve_evidence(graph, predicted, cache, config)
+        first = retrieve_evidence(graph, predicted, cache)
+        second = retrieve_evidence(graph, predicted, cache)
         assert graph.external_calls == 2  # not 4
         assert len(first.trace) == 2
         assert len(second.trace) == 0
@@ -132,12 +131,11 @@ class TestCascade:
     def test_trace_length_equals_instrumented_calls(self, small_corpus):
         graph = CountingGraph(build_graph(small_corpus, fixture_explanations(small_corpus)))
         cache = fresh_cache()
-        config = RetrievalConfig()
         total_trace = 0
         for i in range(8):
             labels = sorted(small_corpus.vocabulary)[i % 4 : i % 4 + 3]
             predicted = RankedPrediction(tuple((l, 0.1 * (j + 1)) for j, l in enumerate(labels)))
-            bundle = retrieve_evidence(graph, predicted, cache, config)
+            bundle = retrieve_evidence(graph, predicted, cache)
             total_trace += len(bundle.trace)
         assert total_trace == graph.external_calls
 
@@ -145,17 +143,16 @@ class TestCascade:
         graph = build_graph(small_corpus, fixture_explanations(small_corpus))
         labels = sorted(small_corpus.vocabulary)[:3]
         predicted = RankedPrediction(tuple((l, 0.2 * (j + 1)) for j, l in enumerate(labels)))
-        config = RetrievalConfig()
-        a = retrieve_evidence(graph, predicted, fresh_cache(), config, character_ref="c")
-        b = retrieve_evidence(graph, predicted, fresh_cache(), config, character_ref="c")
+        a = retrieve_evidence(graph, predicted, fresh_cache(), character_ref="c")
+        b = retrieve_evidence(graph, predicted, fresh_cache(), character_ref="c")
         assert canonical_json(a) == canonical_json(b)
 
-    def test_items_bounded_by_max_items(self, small_corpus):
+    def test_items_bounded_by_max_items(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(retrieval, "MAX_ITEMS", 4)
         graph = build_graph(small_corpus, fixture_explanations(small_corpus))
         labels = sorted(small_corpus.vocabulary)[:3]
         predicted = RankedPrediction(tuple((l, 0.1) for l in labels))
-        config = RetrievalConfig(max_items=4)
-        bundle = retrieve_evidence(graph, predicted, fresh_cache(), config)
+        bundle = retrieve_evidence(graph, predicted, fresh_cache())
         assert len(bundle.items) <= 4
         assert [i.rank for i in bundle.items] == list(range(len(bundle.items)))
 
@@ -228,7 +225,7 @@ class TestSynthesize:
             item(EvidenceKind.COMPONENT_EXPLANATION, "hand", "象手之形", EvidenceSource.CACHE),
             item(EvidenceKind.COMPONENT_EXPLANATION, "hand", "象手之形", EvidenceSource.TOOL),
         ]
-        out = synthesize_bundle(stage1, [], predicted, RetrievalConfig())
+        out = synthesize_bundle(stage1, [], predicted)
         assert len(out) == 1
         assert out[0].source is EvidenceSource.TOOL
 
@@ -238,7 +235,7 @@ class TestSynthesize:
             item(EvidenceKind.CONTAINING_CHARACTER, "cLow", co=("hand",)),
             item(EvidenceKind.CONTAINING_CHARACTER, "aHigh", co=("hand", "roof")),
         ]
-        out = synthesize_bundle(stage1, [], predicted, RetrievalConfig())
+        out = synthesize_bundle(stage1, [], predicted)
         assert [i.subject for i in out] == ["aHigh", "cLow"]
 
     def test_order_invariant_under_permutation(self):
@@ -251,14 +248,14 @@ class TestSynthesize:
             item(EvidenceKind.VARIANT, "v1", "z", EvidenceSource.INTERNAL),
             item(EvidenceKind.MODERN_MAPPING, "c1", "今", EvidenceSource.INTERNAL),
         ]
-        reference = synthesize_bundle(pool, [], predicted, RetrievalConfig())
+        reference = synthesize_bundle(pool, [], predicted)
         rng = random.Random(17)
         for _ in range(100):
             shuffled = pool[:]
             rng.shuffle(shuffled)
             cut = rng.randint(0, len(shuffled))
             assert (
-                synthesize_bundle(shuffled[:cut], shuffled[cut:], predicted, RetrievalConfig())
+                synthesize_bundle(shuffled[:cut], shuffled[cut:], predicted)
                 == reference
             )
 
@@ -274,7 +271,7 @@ class TestSynthesize:
                 EvidenceBundle(
                     character_ref="q",
                     predicted_components=predicted.entries,
-                    items=synthesize_bundle(stage1, [], predicted, RetrievalConfig()),
+                    items=synthesize_bundle(stage1, [], predicted),
                     trace=(),
                     sufficient=True,
                     min_evidence=0,
@@ -291,7 +288,7 @@ class TestSynthesize:
             item(EvidenceKind.COMPONENT_EXPLANATION, "hand", "h"),
             item(EvidenceKind.COMPONENT_EXPLANATION, "roof", "r"),
         ]
-        out = synthesize_bundle(stage1, [], predicted, RetrievalConfig())
+        out = synthesize_bundle(stage1, [], predicted)
         assert [i.subject for i in out] == ["roof", "hand"]
 
     def test_ranks_are_dense(self):
@@ -300,5 +297,5 @@ class TestSynthesize:
             item(EvidenceKind.COMPONENT_EXPLANATION, "hand", "h"),
             item(EvidenceKind.CONTAINING_CHARACTER, "c1", "x"),
         ]
-        out = synthesize_bundle(stage1, [], predicted, RetrievalConfig())
+        out = synthesize_bundle(stage1, [], predicted)
         assert [i.rank for i in out] == [0, 1]

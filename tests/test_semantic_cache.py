@@ -30,9 +30,10 @@ from test_retrieval import mini_graph
 
 
 class LinearScanCache:
-    """The cache as it was before exact-key lookups and the key matrix: every
-    lookup embeds the query and scans the entries with ``cosine_similarity``,
-    keeping the first (least recently used) of equal best similarities."""
+    """The cache without the key matrix: a stored key is served its own
+    result; any other lookup embeds the query and scans the entries with
+    ``cosine_similarity``, keeping the first (least recently used) of equal
+    best similarities."""
 
     def __init__(self, provider, threshold=0.95, capacity=1024):
         self.provider = provider
@@ -43,6 +44,9 @@ class LinearScanCache:
     def lookup(self, query_text):
         if self.capacity == 0:
             return None
+        if query_text in self._entries:
+            self._entries.move_to_end(query_text)
+            return self._entries[query_text][1]
         query_vec = embed_text(self.provider, query_text)
         best_key = None
         best_sim = -2.0
@@ -162,14 +166,15 @@ def test_exact_tie_goes_to_the_least_recently_used_entry():
     assert cache.lookup("p") == payload(1)
 
 
-def test_a_key_with_a_twin_is_served_the_earlier_twin():
-    # as the scan does: both score the same against the query, the older wins
+def test_a_key_with_a_twin_is_served_its_own_result():
+    # both embed to the same vector; each stored key still gets its own payload
     cache = SemanticCache(TableProvider(VECTORS), threshold=0.95, capacity=5)
     cache.insert("p", payload(0))
     cache.insert("p-twin", payload(1))
-    assert cache.lookup("p-twin") == payload(0)
+    assert cache.lookup("p-twin") == payload(1)
+    assert cache.keys() == ("p", "p-twin")
+    assert cache.lookup("p") == payload(0)
     assert cache.keys() == ("p-twin", "p")
-    assert cache.lookup("p") == payload(1)
 
 
 def test_same_direction_scores_alike_whatever_the_norm():
@@ -182,7 +187,7 @@ def test_same_direction_scores_alike_whatever_the_norm():
         cache.insert(first, payload(1))
         cache.insert(second, payload(2))
         assert cache.lookup("tie-1") == payload(1)
-        # the hit made ``first`` most recent, so ``second`` is the older twin
+        # the hit made ``first`` most recent; ``second`` is still served its own
         assert cache.lookup(second) == payload(2)
         assert cache.keys() == (first, second)
 
