@@ -21,6 +21,7 @@ from .errors import BackendUnavailableError
 
 CHAT_URL_ENV = "OBS_CHAT_URL"
 CHAT_KEY_ENV = "OBS_CHAT_KEY"
+CHAT_MODEL_ENV = "OBS_CHAT_MODEL"
 RETRIEVER_URL_ENV = "OBS_RETRIEVER_URL"
 REASONER_URL_ENV = "OBS_REASONER_URL"
 
@@ -95,8 +96,9 @@ class HttpChatBackend(ChatBackend):
     """Client for the chat wire protocol.
 
     POST ``{model, temperature, messages:[{role, content|image_b64}]}``,
-    with the backend's own ``model`` and temperature 0 so that replies are
-    as repeatable as the service allows; the service replies
+    with the backend's own ``model`` (left out when it has none) and
+    temperature 0 so that replies are as repeatable as the service allows;
+    the service replies
     ``{content, usage:{prompt_tokens, completion_tokens}}``.
     The client sets no limit of its own on requests in flight: the caller's
     concurrency (``run_pipeline``'s pool) bounds them.
@@ -118,11 +120,9 @@ class HttpChatBackend(ChatBackend):
             if m.image_b64:
                 doc["image_b64"] = m.image_b64
             messages.append(doc)
-        body = {
-            "model": self.model,
-            "temperature": 0.0,
-            "messages": messages,
-        }
+        body: dict = {"temperature": 0.0, "messages": messages}
+        if self.model:
+            body["model"] = self.model
         headers = {}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
@@ -201,7 +201,8 @@ def backend_from_env(role: str | None = None) -> ChatBackend | None:
     """Build an HTTP backend from the environment, or None if unconfigured.
 
     ``role`` may be ``retriever`` or ``reasoner`` to honour the per-agent
-    URL overrides; both fall back to the shared chat endpoint.
+    URL overrides; both fall back to the shared chat endpoint. Every role
+    sends the model named by ``OBS_CHAT_MODEL``, if set.
     """
     url = ""
     if role == "retriever":
@@ -215,4 +216,5 @@ def backend_from_env(role: str | None = None) -> ChatBackend | None:
     return HttpChatBackend(
         url,
         api_key=os.environ.get(CHAT_KEY_ENV) or None,
+        model=os.environ.get(CHAT_MODEL_ENV, "").strip() or None,
     )

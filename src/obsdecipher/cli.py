@@ -71,17 +71,19 @@ def domain_errors(fn):
 
 
 def _component_bytes(comp: ComponentRecord, image_root: Path | None) -> bytes:
-    """Bytes handed to the embedding provider for one component image.
-
-    Pre-cropped files are used when present; otherwise a stable surrogate
-    derived from the record identity keeps offline runs deterministic.
-    """
+    """The bytes of one component's crop file, handed to the embedding
+    provider; a crop that cannot be read raises MalformedInputError naming
+    its path, since no surrogate stands in for it."""
     path = Path(comp.image_ref)
     if image_root is not None and not path.is_absolute():
         path = image_root / path
-    if path.is_file():
+    try:
         return path.read_bytes()
-    return f"component:{comp.component_id}:{comp.label}".encode("utf-8")
+    except OSError as exc:
+        raise MalformedInputError(
+            f"component {comp.component_id!r}: cannot read crop {str(path)!r}"
+            f" ({type(exc).__name__})"
+        ) from exc
 
 
 def _component_pairs(corpus: Corpus, provider: EmbeddingProvider, image_root: Path | None):

@@ -206,18 +206,28 @@ def character_from_annotation(
     metadata: Mapping[str, object] | None = None,
 ) -> CharacterRecord:
     """Build the character record for an annotation, applying optional expert
-    metadata (interpretation, inscription_type, modern_form, variant_group)."""
+    metadata (interpretation, inscription_type, modern_form, variant_group).
+
+    Each field is a string or null, as in a manifest; any other JSON type
+    raises MalformedInputError naming the character."""
     if metadata is not None and not isinstance(metadata, Mapping):
         raise MalformedInputError(f"metadata for {character_id!r} must be a JSON object")
     meta = dict(metadata or {})
+
+    def field(key: str) -> str | None:
+        try:
+            return _optional_str(meta, key) or None
+        except TypeError as exc:
+            raise MalformedInputError(f"metadata for {character_id!r}: {exc}") from exc
+
     return CharacterRecord(
         character_id=character_id,
         image_ref=file.image_path,
         component_labels=tuple(s.label for s in file.shapes),
-        interpretation=str(meta.get("interpretation", "") or ""),
-        inscription_type=meta.get("inscription_type") or None,
-        modern_form=meta.get("modern_form") or None,
-        variant_group=meta.get("variant_group") or None,
+        interpretation=field("interpretation") or "",
+        inscription_type=field("inscription_type"),
+        modern_form=field("modern_form"),
+        variant_group=field("variant_group"),
     )
 
 

@@ -1,9 +1,11 @@
 """Component-character knowledge graph.
 
 Typed nodes (Component, Character, ModernCharacter) with CONTAINS,
-VARIANT_OF and MAPS_TO edges, held in an in-memory adjacency index. The
-graph is immutable once built, which makes concurrent reads trivially safe.
-Persistence is line-delimited JSON with a trailing sha256 checksum line.
+VARIANT_OF and MAPS_TO edges, held in an in-memory adjacency index. A
+character's component labels live only in its CONTAINS edges: a node holds
+its id, kind, label and explanation. The graph is immutable once built,
+which makes concurrent reads trivially safe. Persistence is line-delimited
+JSON with a trailing sha256 checksum line.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ class Node:
     kind: NodeKind
     label: str
     explanation: str = ""
-    attributes: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        # canonical attribute order so persistence round-trips compare equal
-        object.__setattr__(self, "attributes", tuple(sorted(self.attributes)))
 
 
 @dataclass(frozen=True)
@@ -91,32 +88,26 @@ class KnowledgeGraph:
         self.edges: tuple[Edge, ...] = tuple(ordered_edges)
         self.source_split = source_split
 
-        # adjacency indexes for O(1) lookups
+        # adjacency indexes for O(1) lookups, both directions of CONTAINS
         self._chars_by_label: dict[str, list[str]] = {}
+        self._labels_of: dict[str, list[str]] = {}
         self._variants: dict[str, list[str]] = {}
         self._modern: dict[str, str] = {}
-        # each character's ordered component labels, for co-component lookups
-        self._labels_of: dict[str, list[str]] = {
-            node.label: dict(node.attributes).get("component_labels", "").split("\x1f")
-            for node in self.nodes.values()
-            if node.kind is NodeKind.CHARACTER
-        }
         for edge in self.edges:
             if edge.relation is Relation.CONTAINS:
-                label = self.nodes[edge.dst].label
-                self._chars_by_label.setdefault(label, []).append(
-                    self.nodes[edge.src].label
-                )
+                character, label = self.nodes[edge.src].label, self.nodes[edge.dst].label
+                self._chars_by_label.setdefault(label, []).append(character)
+                self._labels_of.setdefault(character, []).append(label)
             elif edge.relation is Relation.VARIANT_OF:
                 self._variants.setdefault(self.nodes[edge.src].label, []).append(
                     self.nodes[edge.dst].label
                 )
             elif edge.relation is Relation.MAPS_TO:
                 self._modern[self.nodes[edge.src].label] = self.nodes[edge.dst].label
-        for bucket in self._chars_by_label.values():
-            bucket.sort()
-        for bucket in self._variants.values():
-            bucket.sort()
+        # sorted, so a built graph and a loaded one (edges in file order) agree
+        for index in (self._chars_by_label, self._labels_of, self._variants):
+            for bucket in index.values():
+                bucket.sort()
 
     def _check_edge(self, edge: Edge) -> None:
         want_src, want_dst = _EDGE_ENDPOINT_KINDS[edge.relation]
@@ -152,7 +143,7 @@ class KnowledgeGraph:
         rows = []
         for character_id in self._chars_by_label.get(label, ()):
             node = self.nodes[character_node_id(character_id)]
-            co = [l for l in self._labels_of[character_id] if l and l != label]
+            co = [l for l in self._labels_of[character_id] if l != label]
             rows.append(
                 {
                     "character_id": character_id,
@@ -209,18 +200,12 @@ def build_graph(
     groups: dict[str, list[str]] = {}
     modern_forms: set[str] = set()
     for char in sorted(train_corpus.characters, key=lambda c: c.character_id):
-        attrs = [("image_ref", char.image_ref)]
-        if char.inscription_type:
-            attrs.append(("inscription_type", char.inscription_type))
-        # co-component lookups need the full ordered label list on the node
-        attrs.append(("component_labels", "\x1f".join(char.component_labels)))
         nodes.append(
             Node(
                 node_id=character_node_id(char.character_id),
                 kind=NodeKind.CHARACTER,
                 label=char.character_id,
                 explanation=char.interpretation,
-                attributes=tuple(attrs),
             )
         )
         for label in dict.fromkeys(char.component_labels):
@@ -280,7 +265,6 @@ def _node_line(node: Node) -> str:
             "kind": node.kind.value,
             "label": node.label,
             "explanation": node.explanation,
-            "attributes": {k: v for k, v in node.attributes},
         },
         ensure_ascii=False,
         sort_keys=True,
@@ -336,14 +320,13 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
             if t == "meta":
                 source_split = require_str(rec.get("source_split", ""), "source_split")
             elif t == "node":
-                attrs = rec.get("attributes", {})
+                # an "attributes" key, written by older versions, is ignored
                 nodes.append(
                     Node(
                         node_id=require_str(rec["id"], "id"),
                         kind=NodeKind(rec["kind"]),
                         label=require_str(rec["label"], "label"),
                         explanation=require_str(rec.get("explanation", ""), "explanation"),
-                        attributes=tuple((k, require_str(v, k)) for k, v in attrs.items()),
                     )
                 )
             elif t == "edge":

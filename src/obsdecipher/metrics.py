@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .backends import ChatBackend, ChatMessage, ChatRequest
 from .embedding import EmbeddingProvider, embed_text
@@ -134,6 +133,9 @@ def mover_score(
 
 def _exact_transport_cost(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     """Minimum-cost transportation plan via linear programming."""
+    # imported here: scipy.optimize doubles the import time of every command
+    from scipy import optimize
+
     n, m = cost.shape
     c = cost.reshape(-1)
     # row-sum constraints then column-sum constraints, one redundant row dropped

@@ -10,13 +10,8 @@ The emitted run manifest fingerprints every input (model, graph,
 templates, backends, config) so reported numbers stay attributable and
 reruns are comparable by hash.
 
-Above concurrency 1 the workers share one semantic cache, so parts of an
-evidence file depend on thread timing: whether an item came from the graph
-or the cache (its ``source``, Tool or Cache), which tool calls enter the
-``trace``, and, as a graph item outranks a cached duplicate, which
-``co_components`` list is kept for a character reached through two
-components. Result files and the manifest hash do not; the tests compare
-them across concurrency levels.
+Results, evidence files and the manifest hash are the same at every
+concurrency level while the shared semantic cache serves no similarity hit.
 """
 
 from __future__ import annotations

@@ -11,6 +11,13 @@ relationship), every run uses the same values, and the run manifest records
 them. Every external tool query is routed through a semantic-similarity
 cache so repeated or near-duplicate queries in a workload are served
 without touching the graph.
+
+A bundle records facts only: the predicted components, the executed plan
+(``trace``, one ``(tool, argument)`` pair per stage-1 call, whether the
+cache or the graph answered it), the ranked items and whether they reach
+``MIN_EVIDENCE``. An item's origin follows from its kind: explanations and
+containing characters come from the two tools, variants and modern
+mappings from internal lookups. Nothing in it depends on thread timing.
 """
 
 from __future__ import annotations
@@ -45,14 +52,6 @@ class EvidenceKind(str, Enum):
     MODERN_MAPPING = "ModernMapping"
 
 
-class EvidenceSource(str, Enum):
-    TOOL = "Tool"
-    INTERNAL = "Internal"
-    CACHE = "Cache"
-
-
-_SOURCE_PRIORITY = {EvidenceSource.TOOL: 0, EvidenceSource.CACHE: 1, EvidenceSource.INTERNAL: 2}
-
 _KIND_PRIORITY = {
     EvidenceKind.COMPONENT_EXPLANATION: 0,
     EvidenceKind.CONTAINING_CHARACTER: 1,
@@ -62,22 +61,11 @@ _KIND_PRIORITY = {
 
 
 @dataclass(frozen=True)
-class ToolCall:
-    """One external tool invocation; issued_at is a per-run logical clock."""
-
-    tool: ToolName
-    argument: str
-    issued_at: int
-
-
-@dataclass(frozen=True)
 class EvidenceItem:
     kind: EvidenceKind
     subject: str
     content: str
-    source: EvidenceSource
     rank: int = 0
-    empty: bool = False  # explicit marker for legal empty explanations
     co_components: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
@@ -85,9 +73,7 @@ class EvidenceItem:
             "kind": self.kind.value,
             "subject": self.subject,
             "content": self.content,
-            "source": self.source.value,
             "rank": self.rank,
-            "empty": self.empty,
         }
         if self.co_components:
             doc["co_components"] = list(self.co_components)
@@ -101,22 +87,17 @@ class EvidenceBundle:
     character_ref: str
     predicted_components: tuple[tuple[str, float], ...]
     items: tuple[EvidenceItem, ...]
-    trace: tuple[ToolCall, ...]
+    trace: tuple[tuple[ToolName, str], ...]
     sufficient: bool
-    min_evidence: int
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "character_ref": self.character_ref,
             "predicted_components": [[label, dist] for label, dist in self.predicted_components],
             "items": [item.to_json() for item in self.items],
-            "trace": [
-                {"tool": c.tool.value, "argument": c.argument, "issued_at": c.issued_at}
-                for c in self.trace
-            ],
+            "trace": [{"tool": tool.value, "argument": argument} for tool, argument in self.trace],
             "sufficient": self.sufficient,
-            "min_evidence": self.min_evidence,
         }
 
 
@@ -241,8 +222,6 @@ def _explanation_items(graph: KnowledgeGraph, label: str) -> tuple[EvidenceItem,
             kind=EvidenceKind.COMPONENT_EXPLANATION,
             subject=label,
             content=text,
-            source=EvidenceSource.TOOL,
-            empty=not text,
         ),
     )
 
@@ -257,8 +236,6 @@ def _containing_items(graph: KnowledgeGraph, label: str) -> tuple[EvidenceItem, 
             kind=EvidenceKind.CONTAINING_CHARACTER,
             subject=row["character_id"],
             content=row["interpretation"],
-            source=EvidenceSource.TOOL,
-            empty=not row["interpretation"],
             co_components=tuple(row["co_components"]),
         )
         for row in rows
@@ -275,25 +252,21 @@ def execute_tool_calls(
     graph: KnowledgeGraph,
     calls: Sequence[tuple[ToolName, str]],
     cache: SemanticCache,
-) -> tuple[list[EvidenceItem], list[ToolCall]]:
+) -> list[EvidenceItem]:
     """Run the external-tool stage, serving repeats from the cache.
 
-    Only real graph invocations enter the trace; cache hits re-emit the
-    stored payload with source=Cache and leave the trace untouched.
+    A cache hit returns the stored items unchanged, so the items do not
+    depend on whether the cache or the graph answered.
     """
     items: list[EvidenceItem] = []
-    trace: list[ToolCall] = []
     for tool, argument in calls:
         key = f"{tool.value}:{argument}"
-        cached = cache.lookup(key)
-        if cached is not None:
-            items.extend(replace(item, source=EvidenceSource.CACHE) for item in cached)
-            continue
-        fetched = _TOOL_EXECUTORS[tool](graph, argument)
-        trace.append(ToolCall(tool=tool, argument=argument, issued_at=len(trace)))
-        cache.insert(key, fetched)
+        fetched = cache.lookup(key)
+        if fetched is None:
+            fetched = _TOOL_EXECUTORS[tool](graph, argument)
+            cache.insert(key, fetched)
         items.extend(fetched)
-    return items, trace
+    return items
 
 
 def internal_synthesis(
@@ -317,7 +290,6 @@ def internal_synthesis(
                     kind=EvidenceKind.VARIANT,
                     subject=variant_id,
                     content=content,
-                    source=EvidenceSource.INTERNAL,
                 )
             )
         try:
@@ -330,7 +302,6 @@ def internal_synthesis(
                     kind=EvidenceKind.MODERN_MAPPING,
                     subject=character_id,
                     content=modern,
-                    source=EvidenceSource.INTERNAL,
                 )
             )
     return items
@@ -345,17 +316,16 @@ def synthesize_bundle(
 
     Fixed priority: explanations, then containing characters by descending
     co-component overlap with the predicted labels, then variants, then
-    modern mappings, cut to ``MAX_ITEMS``. The output depends only on the set
-    of inputs, never on their arrival order.
+    modern mappings, cut to ``MAX_ITEMS``. Of the items sharing a kind and a
+    subject, the one with the smallest ``(content, co_components)`` is kept,
+    so the output depends only on the set of inputs, never on their arrival
+    order.
     """
     pool: dict[tuple[EvidenceKind, str], EvidenceItem] = {}
     for item in list(stage1) + list(stage2):
         key = (item.kind, item.subject)
         old = pool.get(key)
-        if old is None or (
-            (_SOURCE_PRIORITY[item.source], item.content, item.co_components)
-            < (_SOURCE_PRIORITY[old.source], old.content, old.co_components)
-        ):
+        if old is None or (item.content, item.co_components) < (old.content, old.co_components):
             pool[key] = item
 
     predicted_labels = [label for label, _ in predicted.entries]
@@ -400,7 +370,7 @@ def retrieve_evidence(
         raise ValueError("predicted components must be non-empty")
 
     calls = list(planned_calls) if planned_calls is not None else plan_cascade_calls(predicted)
-    stage1, trace = execute_tool_calls(graph, calls, cache)
+    stage1 = execute_tool_calls(graph, calls, cache)
 
     distinct_stage1 = {(item.kind, item.subject) for item in stage1}
     stage2: list[EvidenceItem] = []
@@ -415,7 +385,6 @@ def retrieve_evidence(
         character_ref=character_ref,
         predicted_components=tuple(predicted.entries[:TOP_M]),
         items=items,
-        trace=tuple(trace),
+        trace=tuple(calls),
         sufficient=len(items) >= MIN_EVIDENCE,
-        min_evidence=MIN_EVIDENCE,
     )

@@ -160,7 +160,8 @@ def write_annotation(path: Path, image_path="glyph.png", width=100, height=80, s
 
 
 def make_run_fixture(tmp_path: Path, n_characters=10, seed=3):
-    """Manifest + on-disk character images for end-to-end CLI runs."""
+    """Manifest + on-disk character images and component crops for
+    end-to-end CLI runs."""
     corpus = build_fixture_corpus(n_characters=n_characters, n_labels=7, seed=seed)
     image_dir = tmp_path / "images"
     image_dir.mkdir(exist_ok=True)
@@ -169,6 +170,11 @@ def make_run_fixture(tmp_path: Path, n_characters=10, seed=3):
         (tmp_path / char.image_ref).parent.mkdir(exist_ok=True, parents=True)
         (tmp_path / char.image_ref).write_bytes(
             b"PNGFAKE" + char.character_id.encode("ascii") * 4
+        )
+    for comp in corpus.components:
+        # one crop file per component: stable bytes that differ per crop
+        (tmp_path / comp.image_ref).write_bytes(
+            f"component:{comp.component_id}:{comp.label}".encode("utf-8")
         )
     from obsdecipher.dataset import write_manifest
 

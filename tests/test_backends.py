@@ -52,8 +52,11 @@ class TestHttpChatBackend:
         return calls
 
     def test_request_body(self, monkeypatch):
+        # without OBS_CHAT_MODEL the body names no model rather than a null one
         calls = self._capture(monkeypatch)
-        backend = HttpChatBackend("http://chat:8000/v1")
+        monkeypatch.setenv(backends_mod.CHAT_URL_ENV, "http://chat:8000/v1")
+        monkeypatch.delenv(backends_mod.CHAT_MODEL_ENV, raising=False)
+        backend = backends_mod.backend_from_env()
         backend.complete(
             _request(
                 ChatMessage(role="system", content="be brief"),
@@ -63,13 +66,21 @@ class TestHttpChatBackend:
         (call,) = calls
         assert call["url"] == "http://chat:8000/v1"
         assert call["json"] == {
-            "model": None,
             "temperature": 0.0,
             "messages": [
                 {"role": "system", "content": "be brief"},
                 {"role": "user", "content": "what is it", "image_b64": "aW1n"},
             ],
         }
+
+    @pytest.mark.parametrize("role", [None, "retriever", "reasoner"])
+    def test_every_role_sends_the_model_named_in_the_environment(self, monkeypatch, role):
+        calls = self._capture(monkeypatch)
+        monkeypatch.setenv(backends_mod.CHAT_URL_ENV, "http://chat:8000/v1")
+        monkeypatch.setenv(backends_mod.REASONER_URL_ENV, "http://reasoner:8000/v1")
+        monkeypatch.setenv(backends_mod.CHAT_MODEL_ENV, "glm-4v")
+        backends_mod.backend_from_env(role).complete(_request(ChatMessage(role="user", content="hi")))
+        assert calls[0]["json"]["model"] == "glm-4v"
 
     def test_model_defaults_to_the_backend_model(self, monkeypatch):
         calls = self._capture(monkeypatch)

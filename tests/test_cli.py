@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -60,7 +62,10 @@ class TestIngestStatsSplit:
         vocab.write_text("hand\nroof\nwater\n", encoding="utf-8")
         meta = tmp_path / "meta.json"
         meta.write_text(
-            json.dumps({"char0": {"interpretation": "手在屋下", "inscription_type": "ideographic"}}),
+            json.dumps({
+                "char0": {"interpretation": "手在屋下", "inscription_type": "ideographic"},
+                "char1": {"modern_form": "手", "variant_group": "g1", "interpretation": None},
+            }),
             encoding="utf-8",
         )
         return ann_dir, vocab, meta, shape_sets
@@ -81,8 +86,28 @@ class TestIngestStatsSplit:
         assert doc["distinct_components"] == 3
         # metadata landed on the record
         corpus = read_manifest(manifest)
-        char0 = next(c for c in corpus.characters if c.character_id == "char0")
+        char0, char1, _ = corpus.characters
         assert char0.interpretation == "手在屋下"
+        assert (char1.interpretation, char1.modern_form, char1.variant_group) == ("", "手", "g1")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("variant_group", 7), ("modern_form", ["x"]), ("interpretation", 5),
+         ("inscription_type", {"t": "ideographic"})],
+    )
+    def test_ingest_refuses_metadata_of_the_wrong_type(self, runner, tmp_path, field, value):
+        # a manifest holding such a value could not be read back by obs stats
+        ann_dir, vocab, meta, _ = self.setup_fixture(tmp_path)
+        meta.write_text(json.dumps({"char1": {field: value}}), encoding="utf-8")
+        out = tmp_path / "corpus.ldjson"
+        result = runner.invoke(main, [
+            "ingest", "--annotations", str(ann_dir), "--vocab", str(vocab),
+            "--out", str(out), "--metadata", str(meta),
+        ])
+        assert result.exit_code == 1
+        assert (f"MalformedInputError: metadata for 'char1': {field!r} is "
+                f"{type(value).__name__}, not str") in result.output
+        assert not out.exists()
 
     def test_ingest_unknown_label_is_domain_error(self, runner, tmp_path):
         ann_dir = tmp_path / "ann"
@@ -217,15 +242,25 @@ def _missing_dir_command(runner, command, tmp_path, missing):
                 "--out-test", str(tmp_path / "test.ldjson")]
     if command == "eval-topk":
         model = tmp_path / "model.bin"
-        invoke(runner, "train", "--manifest", str(manifest), "--out", str(model))
+        invoke(runner, "train", "--manifest", str(manifest), "--out", str(model),
+               "--image-root", str(tmp_path))
         return ["eval-topk", "--model", str(model), "--manifest", str(manifest),
-                "--out", str(missing / "topk.json")]
+                "--image-root", str(tmp_path), "--out", str(missing / "topk.json")]
     results = tmp_path / "results"
     model, graph = train_and_build_kg(manifest, explanations)
     invoke(runner, "run", "--manifest", str(manifest), "--out-dir", str(results),
            "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path))
     return ["evaluate", "--results", str(results), "--gold", str(manifest),
             "--metrics", "rouge1", "--out", str(missing / "report.json")]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.optimize alone about doubles the start-up time of every command
+    code = "import sys, obsdecipher.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["split", "eval-topk", "evaluate"])
@@ -287,7 +322,8 @@ class TestModelCommands:
     def test_train_classify_eval(self, runner, tmp_path):
         _, manifest, _ = make_run_fixture(tmp_path, n_characters=12)
         model = tmp_path / "model.bin"
-        result = invoke(runner, "train", "--manifest", str(manifest), "--out", str(model))
+        result = invoke(runner, "train", "--manifest", str(manifest), "--out", str(model),
+                        "--image-root", str(tmp_path))
         assert result.exit_code == 0
         doc = last_json(result.output)
         assert doc["classes"] >= 1 and doc["dim"] == 768
@@ -301,7 +337,7 @@ class TestModelCommands:
         report = tmp_path / "topk.json"
         evaluated = invoke(
             runner, "eval-topk", "--model", str(model), "--manifest", str(manifest),
-            "--ks", "1,3,5", "--out", str(report),
+            "--image-root", str(tmp_path), "--ks", "1,3,5", "--out", str(report),
         )
         doc = last_json(evaluated.output)
         accs = [doc["acc"][k] for k in ("1", "3", "5")]
@@ -324,17 +360,38 @@ class TestModelCommands:
     ):
         _, manifest, _ = make_run_fixture(tmp_path, n_characters=3)
         model = tmp_path / "model.bin"
-        invoke(runner, "train", "--manifest", str(manifest), "--out", str(model))
+        invoke(runner, "train", "--manifest", str(manifest), "--out", str(model),
+               "--image-root", str(tmp_path))
         embedded = []
         monkeypatch.setattr(StubEmbeddingProvider, "embed_image", lambda self, data: embedded.append(data))
         if command == "classify":
             args = ["--image", str(tmp_path / "images" / "char0000.png"), "--k", value]
         else:
-            args = ["--manifest", str(manifest), "--ks", value]
+            args = ["--manifest", str(manifest), "--image-root", str(tmp_path), "--ks", value]
         result = runner.invoke(main, [command, "--model", str(model), *args])
         assert result.exit_code == 1
         assert f"ConfigError: {message}" in result.output
         assert embedded == []
+
+
+    @pytest.mark.parametrize("command", ["train", "eval-topk"])
+    def test_missing_crop_is_an_error_naming_its_path(self, runner, tmp_path, command):
+        corpus, manifest, _ = make_run_fixture(tmp_path, n_characters=3)
+        model = tmp_path / "model.bin"
+        if command == "eval-topk":
+            invoke(runner, "train", "--manifest", str(manifest), "--out", str(model),
+                   "--image-root", str(tmp_path))
+        comp = corpus.components[1]
+        crop = tmp_path / comp.image_ref
+        crop.unlink()
+        args = {"train": ["--out", str(model)], "eval-topk": ["--model", str(model)]}[command]
+        result = runner.invoke(main, [
+            command, "--manifest", str(manifest), "--image-root", str(tmp_path), *args,
+        ])
+        assert result.exit_code == 1
+        assert (f"MalformedInputError: component {comp.component_id!r}: "
+                f"cannot read crop {str(crop)!r}") in result.output
+        assert model.exists() is (command == "eval-topk")
 
 
 class TestGraphCommands:
@@ -723,6 +780,25 @@ class TestRunCommand:
             doc = json.loads((out_dir / "run_manifest.json").read_text(encoding="utf-8"))
             hashes.append(doc["manifest_hash"])
         assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("mode", ["vlm", "multi_agent"])
+    def test_evidence_files_do_not_depend_on_concurrency(self, runner, tmp_path, mode):
+        # the pooled runs share one cache, so which worker reaches the graph
+        # first varies from run to run; the evidence files must not
+        _, manifest, explanations = make_run_fixture(tmp_path, n_characters=40)
+        model, graph = train_and_build_kg(manifest, explanations)
+        trees = []
+        for name, workers in (("serial", "1"), ("pooled1", "4"), ("pooled2", "4")):
+            out_dir = tmp_path / name
+            invoke(
+                runner, "run", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                "--model", str(model), "--graph", str(graph), "--mock", "--mode", mode,
+                "--image-root", str(tmp_path), "--concurrency", workers,
+            )
+            trees.append({p.name: p.read_bytes() for p in (out_dir / "evidence").glob("*.json")})
+        assert len(trees[0]) == 40
+        assert trees[1] == trees[0]
+        assert trees[2] == trees[0]
 
     @pytest.mark.parametrize("mode", ["vlm", "multi_agent"])
     def test_mock_run_matches_golden_manifest_hash(self, runner, tmp_path, monkeypatch, mode):

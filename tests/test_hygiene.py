@@ -184,7 +184,7 @@ def test_private_read_checker_exempts_only_self_and_cls():
     assert _foreign_private_reads(tree) == ["model._c (line 3)", "f()._d (line 6)"]
 
 
-SETTABLE_VALUES_CAP = 118
+SETTABLE_VALUES_CAP = 116
 
 
 def _settable_values(tree: ast.Module) -> tuple[int, int, int]:

@@ -28,7 +28,6 @@ from obsdecipher.retrieval import (
     EvidenceBundle,
     EvidenceItem,
     EvidenceKind,
-    EvidenceSource,
     SemanticCache,
     ToolName,
 )
@@ -43,15 +42,14 @@ GOLDENS = Path(__file__).parent / "goldens"
 PREDICTED = RankedPrediction((("hand", 0.1234), ("roof", 0.5678)))
 
 ITEMS = (
-    EvidenceItem(EvidenceKind.COMPONENT_EXPLANATION, "hand", "象手之形，表持握义。",
-                 EvidenceSource.TOOL, rank=0),
+    EvidenceItem(EvidenceKind.COMPONENT_EXPLANATION, "hand", "象手之形，表持握义。", rank=0),
     EvidenceItem(EvidenceKind.CONTAINING_CHARACTER, "char0001", "手在屋下，会休息之意。",
-                 EvidenceSource.TOOL, rank=1, co_components=("roof",)),
+                 rank=1, co_components=("roof",)),
 )
 
-BUNDLE = EvidenceBundle("char0099", PREDICTED.entries, ITEMS, (), True, 2)
+BUNDLE = EvidenceBundle("char0099", PREDICTED.entries, ITEMS, (), True)
 
-EMPTY_BUNDLE = EvidenceBundle("char0098", PREDICTED.entries, (), (), False, 2)
+EMPTY_BUNDLE = EvidenceBundle("char0098", PREDICTED.entries, (), (), False)
 
 
 class TestParseModelResponse:
@@ -264,10 +262,10 @@ class TestMultiAgent:
         )
         assert result.mode == "multi_agent"
         assert result.retrieval_fallback is False
-        assert [(c.tool, c.argument) for c in bundle.trace] == [
+        assert bundle.trace == (
             (ToolName.COMPONENT_EXPLANATION, "hand"),
             (ToolName.CHARACTERS_BY_COMPONENT, "hand"),
-        ]
+        )
         assert result.backend_names == ("planner", "composer")
 
     def test_invalid_plan_falls_back_to_cascade(self):

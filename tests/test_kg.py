@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from obsdecipher.kg import (
 
 from conftest import TRIANGLE, build_fixture_corpus, fixture_explanations, structurally_equal
 
+GOLDENS = Path(__file__).parent / "goldens"
+
 
 def one_char_corpus():
     char = CharacterRecord(
@@ -34,6 +37,18 @@ def one_char_corpus():
         ComponentRecord("c0:1", "roof", "c0", TRIANGLE, "x"),
     )
     return Corpus((char,), comps, frozenset({"hand", "roof"}))
+
+
+def assert_same_lookups(graph, reference, corpus):
+    """``graph`` answers all four lookups for every label and character of
+    ``corpus`` exactly as ``reference`` does."""
+    for label in sorted(corpus.vocabulary):
+        assert graph.component_explanation(label) == reference.component_explanation(label)
+        assert graph.characters_by_component(label) == reference.characters_by_component(label)
+    for char in corpus.characters:
+        cid = char.character_id
+        assert graph.variant_lookup(cid) == reference.variant_lookup(cid)
+        assert graph.modern_mapping(cid) == reference.modern_mapping(cid)
 
 
 @pytest.fixture
@@ -126,9 +141,9 @@ class TestQueries:
                     c for c in small_corpus.characters if c.character_id == row["character_id"]
                 )
                 assert row["interpretation"] == record.interpretation
-                assert row["co_components"] == [
-                    l for l in record.component_labels if l != label
-                ]
+                assert row["co_components"] == sorted(
+                    set(record.component_labels) - {label}
+                )
 
     def test_variant_lookup_matches_pairing_table(self, small_corpus, fixture_graph):
         groups = {}
@@ -192,6 +207,22 @@ class TestPersistence:
         save_graph(graph, path)
         assert structurally_equal(load_graph(path), graph)
 
+    def test_loaded_graph_answers_every_lookup_as_the_built_one(self, tmp_path, small_corpus):
+        # edges load in file order, not build order; every lookup must still agree
+        built = build_graph(small_corpus, fixture_explanations(small_corpus))
+        path = tmp_path / "g.ldjson"
+        save_graph(built, path)
+        assert_same_lookups(load_graph(path), built, small_corpus)
+
+    def test_graph_file_with_node_attributes_still_loads(self):
+        # written by a version that also stored each character's labels, image
+        # and type as node attributes; the attributes are ignored on load
+        corpus = build_fixture_corpus(n_characters=8, n_labels=5, seed=2)
+        old = load_graph(GOLDENS / "graph_with_attributes.ldjson")
+        built = build_graph(corpus, fixture_explanations(corpus), source_split="train.ldjson")
+        assert structurally_equal(old, built)
+        assert_same_lookups(old, built, corpus)
+
     def test_truncated_file(self, tmp_path, fixture_graph):
         path = tmp_path / "g.ldjson"
         save_graph(fixture_graph, path)
@@ -224,17 +255,13 @@ class TestPersistence:
             b'["node", "component:hand"]',
             b'{"id": "component:\xff", "kind": "Component", "label": "\xff", "t": "node"}',
             b'{"id": "character:c0", "kind": "Character", "label": ["x"], "t": "node"}',
-            b'{"attributes": {"component_labels": 5}, "id": "character:c0", "kind": "Character", '
-            b'"label": "c0", "t": "node"}',
             b'{"explanation": 7, "id": "component:hand", "kind": "Component", "label": "hand", "t": "node"}',
             b'{"id": 3, "kind": "Component", "label": "hand", "t": "node"}',
-            b'{"attributes": [], "id": "component:hand", "kind": "Component", "label": "hand", "t": "node"}',
             b'{"from": ["character:c0"], "relation": "CONTAINS", "t": "edge", "to": "component:hand"}',
         ],
         ids=[
             "node_without_id", "unknown_kind", "record_is_a_list", "not_utf8", "label_is_a_list",
-            "attribute_is_a_number", "explanation_is_a_number", "id_is_a_number",
-            "attributes_are_a_list", "edge_end_is_a_list",
+            "explanation_is_a_number", "id_is_a_number", "edge_end_is_a_list",
         ],
     )
     def test_checksummed_but_malformed_line_is_corrupt(self, tmp_path, node):

@@ -19,7 +19,6 @@ from obsdecipher.errors import ZeroNormError
 from obsdecipher.retrieval import (
     EvidenceItem,
     EvidenceKind,
-    EvidenceSource,
     SemanticCache,
     ToolName,
     execute_tool_calls,
@@ -133,7 +132,7 @@ class CountingProvider(EmbeddingProvider):
 
 
 def payload(n):
-    return (EvidenceItem(EvidenceKind.COMPONENT_EXPLANATION, f"s{n}", "text", EvidenceSource.TOOL),)
+    return (EvidenceItem(EvidenceKind.COMPONENT_EXPLANATION, f"s{n}", "text"),)
 
 
 OPERATIONS = st.lists(
@@ -248,7 +247,7 @@ def test_near_duplicate_argument_is_served_the_other_payload():
         "component_explanation:入": _near(0.97, 1),
     }
     cache = SemanticCache(TableProvider(table), threshold=0.95)
-    person = (EvidenceItem(EvidenceKind.COMPONENT_EXPLANATION, "人", "象人側立之形", EvidenceSource.TOOL),)
+    person = (EvidenceItem(EvidenceKind.COMPONENT_EXPLANATION, "人", "象人側立之形"),)
     cache.insert("component_explanation:人", person)
     vec_a = EmbeddingVector(table["component_explanation:人"])
     vec_b = EmbeddingVector(table["component_explanation:入"])
