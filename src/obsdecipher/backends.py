@@ -108,7 +108,8 @@ class HttpChatBackend(ChatBackend):
         self._url = url
         self._api_key = api_key
         self.model = model
-        self.name = f"http:{url}"
+        # the model is part of the name, so a run's manifest records it
+        self.name = f"http:{url}#{model}" if model else f"http:{url}"
         self.supports_images = True
 
     def complete(self, request: ChatRequest) -> ChatResponse:

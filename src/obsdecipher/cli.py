@@ -347,6 +347,8 @@ def evaluate(results_dir, gold, metrics, lang, out, mock):
     )
     if out:
         write_json(out, report.to_json())
+    for failure in report.failures:
+        click.echo(f"warning: {failure['character_ref']} not scored: {failure['error']}", err=True)
     click.echo(report.to_table(), err=True)
     _emit(report.to_json())
 

@@ -209,7 +209,8 @@ def character_from_annotation(
     metadata (interpretation, inscription_type, modern_form, variant_group).
 
     Each field is a string or null, as in a manifest; any other JSON type
-    raises MalformedInputError naming the character."""
+    raises MalformedInputError, and an unknown inscription_type
+    SchemaViolationError, each naming the character."""
     if metadata is not None and not isinstance(metadata, Mapping):
         raise MalformedInputError(f"metadata for {character_id!r} must be a JSON object")
     meta = dict(metadata or {})
@@ -220,15 +221,18 @@ def character_from_annotation(
         except TypeError as exc:
             raise MalformedInputError(f"metadata for {character_id!r}: {exc}") from exc
 
-    return CharacterRecord(
-        character_id=character_id,
-        image_ref=file.image_path,
-        component_labels=tuple(s.label for s in file.shapes),
-        interpretation=field("interpretation") or "",
-        inscription_type=field("inscription_type"),
-        modern_form=field("modern_form"),
-        variant_group=field("variant_group"),
-    )
+    try:
+        return CharacterRecord(
+            character_id=character_id,
+            image_ref=file.image_path,
+            component_labels=tuple(s.label for s in file.shapes),
+            interpretation=field("interpretation") or "",
+            inscription_type=field("inscription_type"),
+            modern_form=field("modern_form"),
+            variant_group=field("variant_group"),
+        )
+    except SchemaViolationError as exc:  # an unknown inscription_type
+        raise SchemaViolationError(f"metadata for {character_id!r}: {exc}") from exc
 
 
 def corpus_stats(corpus: Corpus) -> dict[str, int]:

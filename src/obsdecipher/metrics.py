@@ -5,6 +5,8 @@ splitting for English. The embedding-based scores use per-token embeddings
 from the provider: embedding_f1 is the greedy-matching F1 and mover_score
 is one minus the exact optimal-transport cost between uniform-mass unigram
 distributions (so both can be checked against brute-force oracles).
+They embed every token they are given; ``report.evaluate_run`` passes a
+provider that embeds each distinct text once per evaluation.
 """
 
 from __future__ import annotations
@@ -55,15 +57,7 @@ def rouge1_f1(candidate: TokenSequence, reference: TokenSequence) -> float:
 
 
 def _token_matrix(tokens: tuple[str, ...], provider: EmbeddingProvider) -> np.ndarray:
-    cache: dict[str, np.ndarray] = {}
-    rows = []
-    for tok in tokens:
-        vec = cache.get(tok)
-        if vec is None:
-            vec = embed_text(provider, tok).values
-            cache[tok] = vec
-        rows.append(vec)
-    return np.stack(rows)
+    return np.stack([embed_text(provider, tok).values for tok in tokens])
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:

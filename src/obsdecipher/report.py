@@ -7,8 +7,8 @@ from typing import Mapping, Sequence
 
 from .backends import ChatBackend
 from .dataset import CharacterRecord
-from .embedding import EmbeddingProvider
-from .errors import AlignmentError, ConfigError
+from .embedding import EmbeddingProvider, EmbeddingVector
+from .errors import AlignmentError, ConfigError, ObsError
 from .inference import InterpretationResult
 from .metrics import embedding_f1, llm_judge, mover_score, rouge1_f1, tokenize
 
@@ -28,17 +28,25 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class MetricReport:
+    """``per_item`` holds the scored items, which the aggregates cover;
+    ``failures`` holds ``{"character_ref", "error"}`` for each item that
+    could not be scored."""
+
     metadata: dict
     per_item: tuple[dict, ...]
     aggregate: dict
+    failures: tuple[dict, ...]
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "schema_version": 1,
             "metadata": self.metadata,
             "per_item": list(self.per_item),
             "aggregate": self.aggregate,
         }
+        if self.failures:
+            doc["failures"] = list(self.failures)
+        return doc
 
     def to_table(self) -> str:
         """Small fixed-width summary for terminals."""
@@ -47,7 +55,33 @@ class MetricReport:
         lines = [f"{'metric'.ljust(width)}  aggregate"]
         for name in names:
             lines.append(f"{name.ljust(width)}  {self.aggregate[name]:.4f}")
+        total = len(self.per_item) + len(self.failures)
+        lines.append(f"{len(self.failures)} of {total} items failed")
         return "\n".join(lines)
+
+
+class _TextMemo(EmbeddingProvider):
+    """Forwards to ``inner``, embedding each distinct text at most once.
+
+    One lives for one ``evaluate_run`` call: keyed by provider, a memo would
+    outlive the run. It keeps the raw vectors, so the metrics normalize the
+    same matrices as without it and every score stays bitwise the same.
+    """
+
+    def __init__(self, inner: EmbeddingProvider):
+        self._inner = inner
+        self._vectors: dict[str, EmbeddingVector] = {}
+        self.name = inner.name
+        self.dim = inner.dim
+
+    def embed_image(self, image: bytes) -> EmbeddingVector:
+        return self._inner.embed_image(image)
+
+    def embed_text(self, text: str) -> EmbeddingVector:
+        vec = self._vectors.get(text)
+        if vec is None:
+            vec = self._vectors[text] = self._inner.embed_text(text)
+        return vec
 
 
 def evaluate_run(
@@ -57,7 +91,13 @@ def evaluate_run(
     provider: EmbeddingProvider | None = None,
     judge_backend: ChatBackend | None = None,
 ) -> MetricReport:
-    """Score every result against its gold record and aggregate the means."""
+    """Score every result against its gold record and aggregate the means.
+
+    An item whose scoring raises an ``ObsError`` (a missing gold record
+    included) becomes a failure and the others are still scored; only when
+    none scores is ``AlignmentError`` raised. Each distinct text is embedded
+    at most once per call, through a memo that lives only for the call.
+    """
     if not results:
         raise AlignmentError("no results to evaluate")
     gold_by_id: Mapping[str, CharacterRecord] = {c.character_id: c for c in gold}
@@ -67,8 +107,9 @@ def evaluate_run(
     if "judge" in config.metrics and judge_backend is None:
         raise ConfigError("judge metric requires a chat backend")
 
-    per_item: list[dict] = []
-    for result in results:
+    memo = None if provider is None else _TextMemo(provider)
+
+    def score(result: InterpretationResult) -> dict[str, float]:
         record = gold_by_id.get(result.character_ref)
         if record is None:
             raise AlignmentError(f"no gold record for character {result.character_ref!r}")
@@ -78,16 +119,31 @@ def evaluate_run(
         if "rouge1" in config.metrics:
             scores["rouge1"] = rouge1_f1(candidate, reference)
         if "embedding_f1" in config.metrics:
-            scores["embedding_f1"] = embedding_f1(candidate, reference, provider)
+            scores["embedding_f1"] = embedding_f1(candidate, reference, memo)
         if "mover" in config.metrics:
-            scores["mover"] = mover_score(candidate, reference, provider)
+            scores["mover"] = mover_score(candidate, reference, memo)
         if "judge" in config.metrics:
             scores["judge"] = llm_judge(judge_backend, result.interpretation, record.interpretation)
         if "type_acc" in config.metrics and record.inscription_type and result.inscription_type:
             scores["type_match"] = float(
                 result.inscription_type.value == record.inscription_type
             )
-        per_item.append({"character_ref": result.character_ref, "scores": scores})
+        return scores
+
+    per_item: list[dict] = []
+    failures: list[dict] = []
+    for result in results:
+        ref = result.character_ref
+        try:
+            per_item.append({"character_ref": ref, "scores": score(result)})
+        except ObsError as exc:
+            failures.append({"character_ref": ref, "error": f"{type(exc).__name__}: {exc}"})
+    if not per_item:
+        first = failures[0]
+        raise AlignmentError(
+            f"none of {len(results)} items could be scored; "
+            f"{first['character_ref']!r} failed with {first['error']}"
+        )
 
     aggregate: dict[str, float] = {}
     metric_names = sorted({name for item in per_item for name in item["scores"]})
@@ -110,4 +166,6 @@ def evaluate_run(
         metadata["embedding_provider"] = provider.name
     if judge_backend is not None:
         metadata["judge_backend"] = judge_backend.name
-    return MetricReport(metadata=metadata, per_item=tuple(per_item), aggregate=aggregate)
+    return MetricReport(
+        metadata=metadata, per_item=tuple(per_item), aggregate=aggregate, failures=tuple(failures)
+    )

@@ -82,6 +82,17 @@ class TestHttpChatBackend:
         backends_mod.backend_from_env(role).complete(_request(ChatMessage(role="user", content="hi")))
         assert calls[0]["json"]["model"] == "glm-4v"
 
+    def test_the_model_is_part_of_the_name(self, monkeypatch):
+        # the name reaches backend_names and so the run's manifest_hash
+        monkeypatch.setenv(backends_mod.CHAT_URL_ENV, "http://x/v1")
+        names = []
+        for model in ("a", "b"):
+            monkeypatch.setenv(backends_mod.CHAT_MODEL_ENV, model)
+            names.append(backends_mod.backend_from_env().name)
+        monkeypatch.delenv(backends_mod.CHAT_MODEL_ENV)
+        assert names == ["http:http://x/v1#a", "http:http://x/v1#b"]
+        assert backends_mod.backend_from_env().name == "http:http://x/v1"
+
     def test_model_defaults_to_the_backend_model(self, monkeypatch):
         calls = self._capture(monkeypatch)
         backend = HttpChatBackend("http://chat:8000", model="m-default")

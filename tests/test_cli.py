@@ -109,6 +109,19 @@ class TestIngestStatsSplit:
                 f"{type(value).__name__}, not str") in result.output
         assert not out.exists()
 
+    def test_ingest_refuses_an_unknown_inscription_type(self, runner, tmp_path):
+        ann_dir, vocab, meta, _ = self.setup_fixture(tmp_path)
+        meta.write_text(json.dumps({"char1": {"inscription_type": "bogus"}}), encoding="utf-8")
+        out = tmp_path / "corpus.ldjson"
+        result = runner.invoke(main, [
+            "ingest", "--annotations", str(ann_dir), "--vocab", str(vocab),
+            "--out", str(out), "--metadata", str(meta),
+        ])
+        assert result.exit_code == 1
+        assert "SchemaViolationError: metadata for 'char1': inscription_type must be" in result.output
+        assert "'bogus'" in result.output
+        assert not out.exists()
+
     def test_ingest_unknown_label_is_domain_error(self, runner, tmp_path):
         ann_dir = tmp_path / "ann"
         ann_dir.mkdir()
@@ -549,6 +562,26 @@ class TestEvaluateCommand:
         for name in ("rouge1", "embedding_f1", "mover", "judge"):
             assert name in doc["aggregate"]
         assert len(doc["per_item"]) == 6
+
+    def test_an_item_without_gold_is_reported_not_fatal(self, runner, tmp_path):
+        _, manifest, _ = make_run_fixture(tmp_path, n_characters=2)
+        results = tmp_path / "results"
+        results.mkdir()
+        for ref in ("char0000", "char0001", "ghost"):
+            doc = {"character_ref": ref, "interpretation": "字", "mode": "vlm"}
+            (results / f"{ref}.json").write_text(json.dumps(doc), encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        result = invoke(runner, "evaluate", "--results", str(results), "--gold", str(manifest),
+                        "--metrics", "rouge1", "--out", str(report_path))
+        assert result.exit_code == 0
+        assert "warning: ghost not scored: AlignmentError: no gold record" in result.stderr
+        assert "1 of 3 items failed" in result.stderr
+        doc = json.loads(report_path.read_text(encoding="utf-8"))
+        assert [item["character_ref"] for item in doc["per_item"]] == ["char0000", "char0001"]
+        assert doc["failures"] == [{
+            "character_ref": "ghost",
+            "error": "AlignmentError: no gold record for character 'ghost'",
+        }]
 
     @pytest.mark.parametrize(
         "field,value",

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from obsdecipher.backends import TokenUsage
 from obsdecipher.dataset import CharacterRecord
-from obsdecipher.embedding import StubEmbeddingProvider
+from obsdecipher.embedding import EmbeddingVector, StubEmbeddingProvider
 from obsdecipher.errors import AlignmentError, ConfigError
 from obsdecipher.inference import InscriptionType, InterpretationResult
 from obsdecipher.metrics import embedding_f1, mover_score, rouge1_f1, tokenize
@@ -57,6 +59,9 @@ def test_single_item_aggregate_equals_item(provider):
     report = evaluate_run(results, [gold("a", "手持戈守")], EvalConfig(), provider=provider)
     assert report.aggregate == report.per_item[0]["scores"]
     assert report.metadata["items"] == 1
+    # a fully scored report has no failures key, so its bytes are the old ones
+    assert report.failures == ()
+    assert "failures" not in report.to_json()
 
 
 def test_scores_match_direct_metric_calls(provider):
@@ -66,9 +71,9 @@ def test_scores_match_direct_metric_calls(provider):
     report = evaluate_run(results, records, EvalConfig(), provider=provider)
     for (ref, cand, refr), item in zip(pairs, report.per_item):
         c, g = tokenize(cand, "zh"), tokenize(refr, "zh")
-        assert item["scores"]["rouge1"] == pytest.approx(rouge1_f1(c, g))
-        assert item["scores"]["embedding_f1"] == pytest.approx(embedding_f1(c, g, provider))
-        assert item["scores"]["mover"] == pytest.approx(mover_score(c, g, provider))
+        assert item["scores"]["rouge1"] == rouge1_f1(c, g)
+        assert item["scores"]["embedding_f1"] == embedding_f1(c, g, provider)
+        assert item["scores"]["mover"] == mover_score(c, g, provider)
     for name in ("rouge1", "embedding_f1", "mover"):
         mean = sum(i["scores"][name] for i in report.per_item) / len(report.per_item)
         assert report.aggregate[name] == pytest.approx(mean)
@@ -148,3 +153,60 @@ def test_report_table_lists_all_aggregates(provider):
     table = report.to_table()
     for name in report.aggregate:
         assert name in table
+
+
+class CountingProvider(StubEmbeddingProvider):
+    """The stub, counting embed_text calls per text; ``zero`` embeds to 0."""
+
+    def __init__(self, dim=32, salt="", zero=None):
+        super().__init__(dim)
+        self.salt = salt
+        self.zero = zero
+        self.calls = Counter()
+
+    def embed_text(self, text):
+        self.calls[text] += 1
+        if text == self.zero:
+            return EmbeddingVector(np.zeros(self.dim))
+        return super().embed_text(self.salt + text)
+
+
+def test_each_distinct_token_is_embedded_once_per_run():
+    pairs = [("a", "从手从木手", "从又持木"), ("b", "手持木", "两手捧酉尊"), ("c", "从从从", "从又")]
+    counting = CountingProvider()
+    evaluate_run(
+        [result(ref, cand) for ref, cand, _ in pairs],
+        [gold(ref, refr) for ref, _, refr in pairs],
+        EvalConfig(),
+        provider=counting,
+    )
+    tokens = {tok for _, cand, refr in pairs for tok in cand + refr}
+    assert counting.calls == Counter({tok: 1 for tok in tokens})
+
+
+def test_the_memo_does_not_outlive_a_run():
+    # same provider name, other vectors: a memo kept across runs would score both alike
+    reports = [
+        evaluate_run(
+            [result("a", "从手从木")], [gold("a", "从又持木")],
+            EvalConfig(metrics=("embedding_f1",)), provider=CountingProvider(salt=salt),
+        )
+        for salt in ("", "salted:")
+    ]
+    assert len({r.metadata["embedding_provider"] for r in reports}) == 1
+    assert reports[0].aggregate["embedding_f1"] != reports[1].aggregate["embedding_f1"]
+
+
+def test_a_failing_item_is_reported_and_the_rest_scored():
+    results = [result("a", "手持戈"), result("ghost", "手"), result("z", "零落")]
+    records = [gold("a", "手持戈守"), gold("z", "落叶")]
+    report = evaluate_run(results, records, EvalConfig(), provider=CountingProvider(zero="零"))
+    assert [item["character_ref"] for item in report.per_item] == ["a"]
+    assert report.aggregate == report.per_item[0]["scores"]
+    assert report.metadata["items"] == 1
+    assert report.failures == (
+        {"character_ref": "ghost", "error": "AlignmentError: no gold record for character 'ghost'"},
+        {"character_ref": "z", "error": "ZeroNormError: token embedding with zero norm"},
+    )
+    assert report.to_json()["failures"] == list(report.failures)
+    assert "2 of 3 items failed" in report.to_table()
