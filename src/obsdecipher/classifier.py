@@ -5,23 +5,29 @@ held once, as one row of the model's matrix. Queries are ranked by Euclidean
 distance in two steps, as flat L2 indexes do (FAISS ``IndexFlatL2``):
 
 * a screen, ``‖p‖² − 2·p·q`` for every row ``p``, from one matrix product per
-  block of queries (``‖q‖²`` is common to a query's rows, so it is left out);
-* an exact rescore, ``np.linalg.norm(p − q)``, of the shortlist: every row
-  whose screen value is at most the k-th smallest plus a bound on the float
-  error of both the screen and the rescored norm.
+  block of queries (``‖q‖²`` is common to a query's rows, so it is left out),
+  with a margin that bounds the float error of both the screen and the
+  rescored norm;
+* an exact rescore, ``np.linalg.norm(p − q)``, of only those rows whose order
+  the screen cannot settle.
 
-A row outside the shortlist is therefore provably farther, after rounding,
-than ``k`` rows inside it, so the ranking and the distances are bitwise those
-of a full scan with ``np.linalg.norm``. Ties at equal distance break
-lexicographically by label for reproducibility.
+The one screen has two readers. ``classify_topk`` builds top-k lists: it
+rescores every row at most the margin above the k-th smallest screen value.
+``evaluate_topk`` (ACC@k) needs only each query's rank of its gold label: a
+row more than the margin below the gold row's screen value is closer, one more
+than the margin above it is farther, and only the rows in between are
+rescored. A gap that is NaN is never taken as settled. Either way the result
+is bitwise that of a full scan with ``np.linalg.norm``. Ties at equal distance
+break lexicographically by label for reproducibility.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,19 +126,73 @@ def evaluate_topk(
     test: Sequence[tuple[str, EmbeddingVector]],
     ks: Sequence[int],
 ) -> dict[int, float]:
-    """ACC@k: fraction of test items whose label is among the k nearest."""
+    """ACC@k: fraction of test items whose label is among the k nearest.
+
+    An item counts at ``k`` exactly when its label is in ``_rank``'s top-``k``
+    list for its query, but no list is built: the item's 0-based rank is the
+    number of rows the screen shows to be closer than its label's row, plus
+    the rows within the margin whose rescored ``(distance, row)`` is smaller.
+    An item whose label has no prototype never counts.
+    """
     if not test:
         raise EmptyInputError("no test samples")
     if not ks or min(ks) < 1:
         raise ValueError(f"ks must name at least one k, each >= 1, got {list(ks)}")
-    ranked = _rank(model, [vec for _, vec in test], max(ks))
-    hits = {k: 0 for k in ks}
-    for (label, _), entries in zip(test, ranked):
-        top = [entry_label for entry_label, _ in entries]
-        for k in ks:
-            if label in top[:k]:
-                hits[k] += 1
-    return {k: hits[k] / len(test) for k in ks}
+    queries = [vec for _, vec in test]
+    _check_queries(model, queries)
+    labels, n = model.labels, len(model)
+    gold = [bisect_left(labels, label) for label, _ in test]
+    known = np.array([col < n and labels[col] == label for col, (label, _) in zip(gold, test)])
+    gold = np.where(known, gold, 0)
+    ranks = np.empty(len(test), dtype=int)
+    for start, block, screen, margins in _screens(model, queries):
+        cols = gold[start : start + len(block)]
+        delta = screen - screen[np.arange(len(block)), cols][:, None]
+        below = delta < -margins[:, None]
+        # "not above and not below", so a NaN gap is rescored
+        unsure = ~(below | (delta > margins[:, None]))
+        block_ranks = np.count_nonzero(below, axis=1)
+        # the gold row is always unsure; any other needs the exact norm
+        for i in np.flatnonzero(np.count_nonzero(unsure, axis=1) > 1):
+            rows = np.flatnonzero(unsure[i])
+            dists = np.linalg.norm(model.matrix[rows] - block[i], axis=1)
+            mine = dists[rows == cols[i]][0]
+            block_ranks[i] += np.count_nonzero((dists < mine) | ((dists == mine) & (rows < cols[i])))
+        ranks[start : start + len(block)] = block_ranks
+    return {k: int(np.count_nonzero(known & (ranks < k))) / len(test) for k in ks}
+
+
+def _check_queries(model: ClassifierModel, queries: Sequence[EmbeddingVector]) -> None:
+    """Refuse an empty model and any query whose dim is not the model's."""
+    if len(model) == 0:
+        raise EmptyInputError("classifier has no prototypes")
+    for query in queries:
+        if query.dim != model.dim:
+            raise DimensionMismatchError(f"query dim {query.dim}, model dim {model.dim}")
+
+
+def _screens(
+    model: ClassifierModel, queries: Sequence[EmbeddingVector]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(start, block, screen, margins)`` for each block of queries.
+
+    Rounding moves a screen value by at most ``γ·(‖p‖ + ‖q‖)²`` and a
+    rescored squared distance by at most ``γ·d²`` with ``γ ≈ (dim + 4)·u``, so
+    of two rows whose screen values differ by more than the query's margin
+    ``4·(dim + 4)·u·(max‖p‖ + ‖q‖)²``, the one with the larger value is
+    strictly farther after rounding. While ``2·(max‖p‖ + ‖q‖)²`` is finite no
+    screen value or squared distance overflows; otherwise the margin is
+    infinite and every row of that query is rescored.
+    """
+    max_norm = np.sqrt(model.sq_norms.max())
+    scale = 4 * (model.dim + 4)
+    for start in range(0, len(queries), _BLOCK_ROWS):
+        block = np.stack([query.values for query in queries[start : start + _BLOCK_ROWS]])
+        screen = model.sq_norms - 2.0 * (block @ model.matrix.T)
+        reach = max_norm + np.sqrt(np.einsum("ij,ij->i", block, block))
+        square = reach * reach
+        margins = np.where(np.isfinite(2 * square), scale * (_UNIT_ROUNDOFF * square + _TINY), np.inf)
+        yield start, block, screen, margins
 
 
 def _rank(
@@ -140,31 +200,18 @@ def _rank(
 ) -> list[tuple[tuple[str, float], ...]]:
     """The top-``k`` ``(label, distance)`` entries of each query, nearest first.
 
-    Rounding moves a screen value by at most ``γ·(‖p‖ + ‖q‖)²`` and a
-    rescored squared distance by at most ``γ·d²`` with ``γ ≈ (dim + 4)·u``, so
-    a row whose screen value exceeds the k-th smallest by the margin
-    ``4·(dim + 4)·u·(max‖p‖ + ‖q‖)²`` is strictly farther, after rounding, than
-    the ``k`` rows at or below it. When the margin is not finite (an
-    overflow), every row is rescored.
+    Every row at most the margin above the k-th smallest screen value is
+    rescored (every row when that bound is not finite), so a row left out is
+    strictly farther, after rounding, than the ``k`` rows at or below it.
     """
-    if len(model) == 0:
-        raise EmptyInputError("classifier has no prototypes")
-    for query in queries:
-        if query.dim != model.dim:
-            raise DimensionMismatchError(f"query dim {query.dim}, model dim {model.dim}")
+    _check_queries(model, queries)
     if k < 1:
         raise ValueError("k must be >= 1")
     k = min(k, len(model))
-    max_norm = np.sqrt(model.sq_norms.max())
-    scale = 4 * (model.dim + 4)
     ranked = []
-    for start in range(0, len(queries), _BLOCK_ROWS):
-        block = np.stack([query.values for query in queries[start : start + _BLOCK_ROWS]])
-        screen = model.sq_norms - 2.0 * (block @ model.matrix.T)
+    for _, block, screen, margins in _screens(model, queries):
         kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
-        reach = max_norm + np.sqrt(np.einsum("ij,ij->i", block, block))
-        cutoffs = kth + scale * (_UNIT_ROUNDOFF * reach * reach + _TINY)
-        for query, row, cutoff in zip(block, screen, cutoffs):
+        for query, row, cutoff in zip(block, screen, kth + margins):
             if np.isfinite(cutoff):
                 rows = np.flatnonzero(row <= cutoff)
             else:

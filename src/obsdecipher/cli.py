@@ -209,10 +209,13 @@ def eval_topk_cmd(model_path, manifest, ks, out, image_root):
     root = Path(image_root) if image_root else None
     pairs = list(_component_pairs(corpus, provider, root))
     accuracy = evaluate_topk(model, pairs, k_values)
+    known = set(model.labels)
     doc = {
         "schema_version": 1,
         "provider": provider.name,
         "test_items": len(pairs),
+        # crops whose label has no prototype: no k can count them
+        "unseen_labels": sum(label not in known for label, _ in pairs),
         "acc": {str(k): accuracy[k] for k in k_values},
     }
     if out:

@@ -48,7 +48,9 @@ def screened_cases(draw):
     """A model and queries built to sit on the screen's margin: exact ties
     from grid points and midpoints, duplicated rows, rows and queries a few
     ulps apart (near-ties at every position, the k-th included), scales from
-    1e-3 to 1e3, and query counts on both sides of a block boundary."""
+    1e-3 to 1e3, and query counts on both sides of a block boundary. Query
+    labels include two with no prototype: one between two labels and one
+    past every label."""
     n = draw(st.integers(1, 12))
     dim = draw(st.integers(1, 6))
     scale = 10.0 ** draw(st.floats(-3, 3))
@@ -67,6 +69,7 @@ def screened_cases(draw):
     block = classifier._BLOCK_ROWS
     n_queries = draw(st.sampled_from([1, 2, 5, block - 1, block, block + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    query_labels = model.labels + ("c00x", "c99")
     queries = []
     for _ in range(n_queries):
         a, b = matrix[rng.integers(n)], matrix[rng.integers(n)]
@@ -83,7 +86,7 @@ def screened_cases(draw):
             q[c] = nudged(q[c], int(rng.integers(-3, 4)))
         else:
             q = rng.standard_normal(dim) * scale
-        queries.append((model.labels[rng.integers(n)], EmbeddingVector(q)))
+        queries.append((query_labels[rng.integers(n + 2)], EmbeddingVector(q)))
     k = draw(st.integers(1, n + 2))
     return model, queries, k
 
@@ -188,13 +191,26 @@ class TestClassifyTopK:
             for j in ks
         }
         assert evaluate_topk(model, test, ks) == expected_acc
+        absent = [(label, vec) for label, vec in test if label not in model.labels]
+        if absent:
+            assert evaluate_topk(model, absent, ks) == {j: 0.0 for j in ks}
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_distances_match_the_full_scan(self):
         # squared norms overflow to inf, so every row is rescored
         model = build_prototypes([("a", vec(1e200, 0.0)), ("b", vec(0.0, 1e200)), ("c", vec(1.0, 1.0))])
         for q in (vec(0.0, 0.0), vec(-1e200, 0.0), vec(1.0, 1.0)):
             assert bits(classify_topk(model, q, 2).entries) == bits(full_scan_entries(model, q, 2))
+        # finite screens, but both rescored distances overflow to inf, so the
+        # tie goes to "a" at every k
+        model = ClassifierModel(["a", "b"], np.array([[-1.3e154], [-0.75e154]]), [1, 1])
+        q = vec(0.68e154)
+        for k in (1, 2):
+            assert bits(classify_topk(model, q, k).entries) == bits(full_scan_entries(model, q, k))
+        assert evaluate_topk(model, [("b", q)], [1]) == {1: 0.0}
+        # equal rows whose screens are both -inf: the gap between them is NaN
+        model = ClassifierModel(["a", "b"], np.array([[-1e154], [-1e154]]), [1, 1])
+        assert evaluate_topk(model, [("b", vec(-1e154))], [1]) == {1: 0.0}
 
     def test_k_below_one(self):
         model = build_prototypes([("a", vec(1.0, 0.0))])

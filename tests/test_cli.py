@@ -333,10 +333,13 @@ def test_manifest_field_that_is_not_a_string_is_domain_error(runner, tmp_path, f
 
 class TestModelCommands:
     def test_train_classify_eval(self, runner, tmp_path):
-        _, manifest, _ = make_run_fixture(tmp_path, n_characters=12)
+        corpus, manifest, _ = make_run_fixture(tmp_path, n_characters=12)
+        # trained on fewer characters, so some test crops have no prototype
+        (tmp_path / "few").mkdir()
+        few, few_manifest, _ = make_run_fixture(tmp_path / "few", n_characters=3)
         model = tmp_path / "model.bin"
-        result = invoke(runner, "train", "--manifest", str(manifest), "--out", str(model),
-                        "--image-root", str(tmp_path))
+        result = invoke(runner, "train", "--manifest", str(few_manifest), "--out", str(model),
+                        "--image-root", str(tmp_path / "few"))
         assert result.exit_code == 0
         doc = last_json(result.output)
         assert doc["classes"] >= 1 and doc["dim"] == 768
@@ -355,6 +358,11 @@ class TestModelCommands:
         doc = last_json(evaluated.output)
         accs = [doc["acc"][k] for k in ("1", "3", "5")]
         assert accs[0] <= accs[1] <= accs[2]
+        trained = {comp.label for comp in few.components}
+        unseen = sum(comp.label not in trained for comp in corpus.components)
+        assert 0 < unseen < doc["test_items"] == len(corpus.components)
+        assert doc["unseen_labels"] == unseen
+        assert accs[2] <= 1 - unseen / doc["test_items"]
         assert json.loads(report.read_text(encoding="utf-8")) == doc
 
     @pytest.mark.parametrize(
