@@ -19,17 +19,26 @@ than the margin above it is farther, and only the rows in between are
 rescored. A gap that is NaN is never taken as settled. Either way the result
 is bitwise that of a full scan with ``np.linalg.norm``. Ties at equal distance
 break lexicographically by label for reproducibility.
+
+``evaluate_topk`` screens every test item, its label known or not, so its
+cost per item does not depend on the labels, and it holds OpenBLAS to the
+calling thread. ``classify_topk``, one query on the pipeline's path, keeps
+the BLAS's own threading.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import struct
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from ._io import atomic_write_bytes
 from .embedding import EmbeddingVector
@@ -44,6 +53,13 @@ _MAGIC = b"OBSPROTO\x00\x01"  # versioned model-file magic
 _BLOCK_ROWS = 128  # queries screened by one matrix product
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny  # bounds the absolute error of an underflow
+try:
+    # numpy's OpenBLAS, reached through a module linked against it; the
+    # setter returns the previous thread count
+    _SET_BLAS_THREADS = ctypes.CDLL(lapack_lite.__file__).openblas_set_num_threads_local
+except (AttributeError, OSError):
+    _SET_BLAS_THREADS = None
+_BLAS_THREADS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -145,21 +161,44 @@ def evaluate_topk(
     known = np.array([col < n and labels[col] == label for col, (label, _) in zip(gold, test)])
     gold = np.where(known, gold, 0)
     ranks = np.empty(len(test), dtype=int)
-    for start, block, screen, margins in _screens(model, queries):
-        cols = gold[start : start + len(block)]
-        delta = screen - screen[np.arange(len(block)), cols][:, None]
-        below = delta < -margins[:, None]
-        # "not above and not below", so a NaN gap is rescored
-        unsure = ~(below | (delta > margins[:, None]))
-        block_ranks = np.count_nonzero(below, axis=1)
-        # the gold row is always unsure; any other needs the exact norm
-        for i in np.flatnonzero(np.count_nonzero(unsure, axis=1) > 1):
-            rows = np.flatnonzero(unsure[i])
-            dists = np.linalg.norm(model.matrix[rows] - block[i], axis=1)
-            mine = dists[rows == cols[i]][0]
-            block_ranks[i] += np.count_nonzero((dists < mine) | ((dists == mine) & (rows < cols[i])))
-        ranks[start : start + len(block)] = block_ranks
+    with _blas_on_calling_thread():
+        for start, block, screen, margins in _screens(model, queries):
+            cols = gold[start : start + len(block)]
+            delta = screen - screen[np.arange(len(block)), cols][:, None]
+            below = delta < -margins[:, None]
+            # "not above and not below", so a NaN gap is rescored
+            unsure = ~(below | (delta > margins[:, None]))
+            block_ranks = np.count_nonzero(below, axis=1)
+            # the gold row is always unsure; any other needs the exact norm
+            for i in np.flatnonzero(np.count_nonzero(unsure, axis=1) > 1):
+                rows = np.flatnonzero(unsure[i])
+                dists = np.linalg.norm(model.matrix[rows] - block[i], axis=1)
+                mine = dists[rows == cols[i]][0]
+                block_ranks[i] += np.count_nonzero((dists < mine) | ((dists == mine) & (rows < cols[i])))
+            ranks[start : start + len(block)] = block_ranks
     return {k: int(np.count_nonzero(known & (ranks < k))) / len(test) for k in ks}
+
+
+@contextlib.contextmanager
+def _blas_on_calling_thread():
+    """Run the BLAS calls inside on the calling thread only.
+
+    OpenBLAS splits a product over every core, and its helper threads spin
+    after each call, so a batch of products runs at the pace of the busiest
+    core. Held to one thread, ``evaluate_topk``'s pace depends on its own core
+    alone. Another BLAS has no ``openblas_set_num_threads_local`` and keeps
+    its own threading. The count is process-wide, so the lock keeps two
+    callers from restoring each other's value.
+    """
+    if _SET_BLAS_THREADS is None:
+        yield
+        return
+    with _BLAS_THREADS_LOCK:
+        before = _SET_BLAS_THREADS(1)
+        try:
+            yield
+        finally:
+            _SET_BLAS_THREADS(before)
 
 
 def _check_queries(model: ClassifierModel, queries: Sequence[EmbeddingVector]) -> None:

@@ -283,6 +283,27 @@ class TestEvaluateTopK:
         with pytest.raises(EmptyInputError, match="no test samples"):
             evaluate_topk(model, [], [1])
 
+    def test_screens_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        set_threads = classifier._SET_BLAS_THREADS
+        if set_threads is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        inside = []
+        screens = classifier._screens
+
+        def recorded(*args):
+            inside.append(set_threads(1))
+            yield from screens(*args)
+
+        monkeypatch.setattr(classifier, "_screens", recorded)
+        before = set_threads(2)
+        try:
+            model = build_prototypes([("a", vec(1.0, 0.0)), ("b", vec(0.0, 1.0))])
+            assert evaluate_topk(model, [("a", vec(1.0, 0.0))], [1]) == {1: 1.0}
+            assert inside == [1]
+            assert set_threads(before) == 2
+        finally:
+            set_threads(before)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
