@@ -12,10 +12,11 @@ import os
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Annotated
 
 import requests
 
+from . import records
 from .dataset import INSCRIPTION_TYPES
 from .errors import BackendUnavailableError
 
@@ -31,8 +32,8 @@ _TIMEOUT_S = 120.0  # per hosted chat request
 @dataclass(frozen=True)
 class ChatMessage:
     role: str
-    content: str = ""
-    image_b64: str | None = None
+    content: Annotated[str, records.OMIT_EMPTY] = ""
+    image_b64: Annotated[str | None, records.OMIT_EMPTY] = None
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,6 @@ class TokenUsage:
 
     def __add__(self, other: "TokenUsage") -> "TokenUsage":
         return TokenUsage(self.prompt + other.prompt, self.completion + other.completion)
-
-    def to_json(self) -> dict:
-        return {"prompt": self.prompt, "completion": self.completion}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "TokenUsage":
-        if not isinstance(doc, Mapping):
-            raise TypeError(f"token usage is {type(doc).__name__}, not an object")
-        return cls(prompt=int(doc.get("prompt", 0)), completion=int(doc.get("completion", 0)))
 
 
 @dataclass(frozen=True)
@@ -113,14 +105,7 @@ class HttpChatBackend(ChatBackend):
         self.supports_images = True
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        messages = []
-        for m in request.messages:
-            doc: dict = {"role": m.role}
-            if m.content:
-                doc["content"] = m.content
-            if m.image_b64:
-                doc["image_b64"] = m.image_b64
-            messages.append(doc)
+        messages = [records.encode(m, {}) for m in request.messages]
         body: dict = {"temperature": 0.0, "messages": messages}
         if self.model:
             body["model"] = self.model

@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import agreement as agreement_mod
-from . import dataset, kg
+from . import dataset, kg, records
 from .backends import OfflineChatBackend, backend_from_env
 from .classifier import (
     build_prototypes,
@@ -332,10 +332,10 @@ def evaluate(results_dir, gold, metrics, lang, out, mock):
     for path in sorted(Path(results_dir).glob("*.json")):
         if path.name == "run_manifest.json":
             continue
-        try:
-            results.append(InterpretationResult.from_json(_read_json_object(path)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInputError(f"{path}: not an interpretation result: {exc!r}") from exc
+        doc = _read_json_object(path)
+        results.append(
+            records.decode(InterpretationResult, doc, f"{path}: not an interpretation result")
+        )
     corpus = read_manifest(gold)
     judge_backend = None
     if "judge" in metric_list:

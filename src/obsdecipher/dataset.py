@@ -1,8 +1,8 @@
 """Annotation ingest, corpus records, statistics, and train/test splits.
 
-Annotation files follow a minimal LabelMe-compatible subset: ``imagePath``,
-``imageWidth``, ``imageHeight`` and ``shapes`` with a label and a polygon per
-shape. Unknown extra fields are ignored for forward compatibility.
+Annotation files follow a minimal LabelMe-compatible subset, the fields of
+``AnnotationFile`` and ``Shape``. Those files, expert metadata and corpus
+manifests are all read and written by the wire rule of :mod:`.records`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Annotated, Mapping
 
+from . import records
 from ._io import atomic_write_text
 from .errors import (
     InvalidRatioError,
@@ -38,9 +39,9 @@ class Shape:
 
 @dataclass(frozen=True)
 class AnnotationFile:
-    image_path: str
-    image_width: int
-    image_height: int
+    image_path: Annotated[str, "imagePath"]
+    image_width: Annotated[int, "imageWidth"]
+    image_height: Annotated[int, "imageHeight"]
     shapes: tuple[Shape, ...]
 
 
@@ -52,7 +53,7 @@ class ComponentRecord:
     label: str
     source_character_id: str
     polygon: tuple[tuple[float, float], ...]
-    image_ref: str
+    image_ref: Annotated[str, records.Absent("")]
     explanation: str = ""
 
 
@@ -65,7 +66,7 @@ class CharacterRecord:
     """
 
     character_id: str
-    image_ref: str
+    image_ref: Annotated[str, records.Absent("")]
     component_labels: tuple[str, ...] = ()
     interpretation: str = ""
     inscription_type: str | None = None
@@ -102,65 +103,34 @@ def parse_json_object(raw: bytes, what: str) -> dict:
     return doc
 
 
-def require_str(value: object, key: str) -> str:
-    """``value``, read from ``key`` of a JSON record, which must be a string."""
-    if not isinstance(value, str):
-        raise TypeError(f"{key!r} is {type(value).__name__}, not str")
-    return value
-
-
-def _optional_str(rec: Mapping, key: str) -> str | None:
-    """``rec[key]`` as a string, or None where the key is absent or null."""
-    value = rec.get(key)
-    return None if value is None else require_str(value, key)
-
-
 def parse_annotation(raw: bytes) -> AnnotationFile:
     """Parse one LabelMe-style JSON annotation into a validated AnnotationFile.
 
     Raises MalformedInputError when the bytes are not UTF-8 JSON,
-    SchemaViolationError when a required field is missing or a shape is
-    invalid (fewer than 3 points, point out of image bounds).
+    SchemaViolationError when a required field is missing or of the wrong
+    type, or a shape is invalid (fewer than 3 points, point out of image
+    bounds).
     """
     doc = parse_json_object(raw, "annotation")
-    for key in ("imagePath", "imageWidth", "imageHeight", "shapes"):
-        if key not in doc:
-            raise SchemaViolationError(f"missing required field {key!r}")
-    image_path = doc["imagePath"]
-    if not isinstance(image_path, str) or not image_path:
+    try:
+        file = records.decode(AnnotationFile, doc, "annotation")
+    except MalformedInputError as exc:
+        raise SchemaViolationError(str(exc)) from exc
+    width, height = file.image_width, file.image_height
+    if not file.image_path:
         raise SchemaViolationError("imagePath must be a non-empty string")
-    width, height = doc["imageWidth"], doc["imageHeight"]
-    if not isinstance(width, int) or isinstance(width, bool) or width <= 0:
-        raise SchemaViolationError("imageWidth must be a positive integer")
-    if not isinstance(height, int) or isinstance(height, bool) or height <= 0:
-        raise SchemaViolationError("imageHeight must be a positive integer")
-    raw_shapes = doc["shapes"]
-    if not isinstance(raw_shapes, list) or not raw_shapes:
+    if width <= 0 or height <= 0:
+        raise SchemaViolationError("imageWidth and imageHeight must be positive integers")
+    if not file.shapes:
         raise SchemaViolationError("shapes must be a non-empty list")
-
-    shapes: list[Shape] = []
-    for i, entry in enumerate(raw_shapes):
-        if not isinstance(entry, dict):
-            raise SchemaViolationError(f"shape {i} is not an object", shape_index=i)
-        label = entry.get("label")
-        if not isinstance(label, str) or not label:
+    for i, shape in enumerate(file.shapes):
+        if not shape.label:
             raise SchemaViolationError(f"shape {i} has no label", shape_index=i)
-        points = entry.get("points")
-        if not isinstance(points, list) or len(points) < 3:
+        if len(shape.points) < 3:
             raise SchemaViolationError(
                 f"shape {i} polygon must have at least 3 points", shape_index=i
             )
-        parsed: list[tuple[float, float]] = []
-        for p in points:
-            if (
-                not isinstance(p, (list, tuple))
-                or len(p) != 2
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
-            ):
-                raise SchemaViolationError(
-                    f"shape {i} has a malformed point {p!r}", shape_index=i
-                )
-            x, y = float(p[0]), float(p[1])
+        for x, y in shape.points:
             # boundary-touching points are legal: masks often hug the image edge
             if not (0.0 <= x <= width and 0.0 <= y <= height):
                 raise SchemaViolationError(
@@ -168,14 +138,7 @@ def parse_annotation(raw: bytes) -> AnnotationFile:
                     f"{width}x{height}",
                     shape_index=i,
                 )
-            parsed.append((x, y))
-        shapes.append(Shape(label=label, points=tuple(parsed)))
-    return AnnotationFile(
-        image_path=image_path,
-        image_width=width,
-        image_height=height,
-        shapes=tuple(shapes),
-    )
+    return file
 
 
 def extract_components(
@@ -208,31 +171,19 @@ def character_from_annotation(
     """Build the character record for an annotation, applying optional expert
     metadata (interpretation, inscription_type, modern_form, variant_group).
 
-    Each field is a string or null, as in a manifest; any other JSON type
+    Each field is a string, or null or empty for none; any other JSON type
     raises MalformedInputError, and an unknown inscription_type
     SchemaViolationError, each naming the character."""
     if metadata is not None and not isinstance(metadata, Mapping):
         raise MalformedInputError(f"metadata for {character_id!r} must be a JSON object")
-    meta = dict(metadata or {})
-
-    def field(key: str) -> str | None:
-        try:
-            return _optional_str(meta, key) or None
-        except TypeError as exc:
-            raise MalformedInputError(f"metadata for {character_id!r}: {exc}") from exc
-
+    where = f"metadata for {character_id!r}"
+    doc = {key: value for key, value in (metadata or {}).items() if value not in (None, "")}
+    doc.update(character_id=character_id, image_ref=file.image_path,
+               component_labels=[s.label for s in file.shapes])
     try:
-        return CharacterRecord(
-            character_id=character_id,
-            image_ref=file.image_path,
-            component_labels=tuple(s.label for s in file.shapes),
-            interpretation=field("interpretation") or "",
-            inscription_type=field("inscription_type"),
-            modern_form=field("modern_form"),
-            variant_group=field("variant_group"),
-        )
+        return records.decode(CharacterRecord, doc, where)
     except SchemaViolationError as exc:  # an unknown inscription_type
-        raise SchemaViolationError(f"metadata for {character_id!r}: {exc}") from exc
+        raise SchemaViolationError(f"{where}: {exc}") from exc
 
 
 def corpus_stats(corpus: Corpus) -> dict[str, int]:
@@ -345,38 +296,10 @@ def load_vocabulary(path: str | Path) -> frozenset[str]:
     return frozenset(labels)
 
 
-def _character_to_json(c: CharacterRecord) -> dict:
-    return {
-        "kind": "character",
-        "character_id": c.character_id,
-        "image_ref": c.image_ref,
-        "component_labels": list(c.component_labels),
-        "interpretation": c.interpretation,
-        "inscription_type": c.inscription_type,
-        "modern_form": c.modern_form,
-        "variant_group": c.variant_group,
-    }
-
-
-def _component_to_json(c: ComponentRecord) -> dict:
-    return {
-        "kind": "component",
-        "component_id": c.component_id,
-        "label": c.label,
-        "source_character_id": c.source_character_id,
-        "polygon": [list(p) for p in c.polygon],
-        "image_ref": c.image_ref,
-        "explanation": c.explanation,
-    }
-
-
 def write_manifest(corpus: Corpus, path: str | Path) -> None:
     """Line-delimited JSON, one record per character and per component."""
-    lines = []
-    for char in corpus.characters:
-        lines.append(json.dumps(_character_to_json(char), ensure_ascii=False, sort_keys=True))
-    for comp in corpus.components:
-        lines.append(json.dumps(_component_to_json(comp), ensure_ascii=False, sort_keys=True))
+    lines = [records.line(c, {"kind": "character"}) for c in corpus.characters]
+    lines += [records.line(c, {"kind": "component"}) for c in corpus.components]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -387,49 +310,17 @@ def read_manifest(path: str | Path) -> Corpus:
     """
     characters: list[CharacterRecord] = []
     components: list[ComponentRecord] = []
+    kinds = {"character": (characters, CharacterRecord), "component": (components, ComponentRecord)}
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
         rec = parse_json_object(line, where)
         kind = rec.get("kind")
-        try:
-            if kind == "character":
-                labels = rec.get("component_labels", [])
-                if not isinstance(labels, list) or not all(
-                    isinstance(label, str) for label in labels
-                ):
-                    raise MalformedInputError(
-                        f"{where}: component_labels must be a list of strings, got {labels!r}"
-                    )
-                characters.append(
-                    CharacterRecord(
-                        character_id=require_str(rec["character_id"], "character_id"),
-                        image_ref=require_str(rec.get("image_ref", ""), "image_ref"),
-                        component_labels=tuple(labels),
-                        interpretation=_optional_str(rec, "interpretation") or "",
-                        inscription_type=_optional_str(rec, "inscription_type"),
-                        modern_form=_optional_str(rec, "modern_form"),
-                        variant_group=_optional_str(rec, "variant_group"),
-                    )
-                )
-            elif kind == "component":
-                components.append(
-                    ComponentRecord(
-                        component_id=require_str(rec["component_id"], "component_id"),
-                        label=require_str(rec["label"], "label"),
-                        source_character_id=require_str(
-                            rec["source_character_id"], "source_character_id"
-                        ),
-                        polygon=tuple((float(x), float(y)) for x, y in rec.get("polygon", ())),
-                        image_ref=require_str(rec.get("image_ref", ""), "image_ref"),
-                        explanation=_optional_str(rec, "explanation") or "",
-                    )
-                )
-            else:
-                raise MalformedInputError(f"{where}: unknown record kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInputError(f"{where}: malformed {kind} record: {exc!r}") from exc
+        if not (isinstance(kind, str) and kind in kinds):
+            raise MalformedInputError(f"{where}: unknown record kind {kind!r}")
+        into, cls = kinds[kind]
+        into.append(records.decode(cls, rec, f"{where}: malformed {kind} record"))
     vocabulary = frozenset(c.label for c in components) | frozenset(
         label for char in characters for label in char.component_labels
     )

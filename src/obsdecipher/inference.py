@@ -14,11 +14,11 @@ import base64
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Annotated
 
+from . import records
 from .backends import ChatBackend, ChatMessage, ChatRequest, TokenUsage
 from .classifier import RankedPrediction
-from .dataset import require_str
 from .errors import (
     BackendUnavailableError,
     EmptyInputError,
@@ -135,12 +135,12 @@ class TypeInference:
 class InterpretationResult:
     character_ref: str
     inscription_type: InscriptionType | None
-    reasoning_trace: str
+    reasoning_trace: Annotated[str, records.Absent("")]
     interpretation: str
     evidence_used: tuple[int, ...]
     mode: str  # "vlm" | "multi_agent"
     backend_names: tuple[str, ...]
-    language: str
+    language: Annotated[str, records.Absent("zh")]
     template_ids: tuple[str, ...] = ()
     usage_by_backend: tuple[tuple[str, TokenUsage], ...] = ()
     retrieval_fallback: bool = False
@@ -151,51 +151,14 @@ class InterpretationResult:
         return sum((usage for _, usage in self.usage_by_backend), TokenUsage())
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "character_ref": self.character_ref,
-            "inscription_type": self.inscription_type.value if self.inscription_type else None,
-            "reasoning_trace": self.reasoning_trace,
-            "interpretation": self.interpretation,
-            "evidence_used": list(self.evidence_used),
-            "mode": self.mode,
-            "token_usage": self.token_usage.to_json(),
-            "backend_names": list(self.backend_names),
-            "language": self.language,
-            "template_ids": list(self.template_ids),
-            "usage_by_backend": [[name, usage.to_json()] for name, usage in self.usage_by_backend],
-            "retrieval_fallback": self.retrieval_fallback,
-        }
+        token_usage = records.encode(self.token_usage, {})
+        return records.encode(self, {"schema_version": 1, "token_usage": token_usage})
 
     @classmethod
-    def from_json(cls, doc: Mapping) -> "InterpretationResult":
+    def from_json(cls, doc: object) -> "InterpretationResult":
         """Read a result file's document; a field of the wrong JSON type
-        raises TypeError."""
-        itype = doc.get("inscription_type")
-        return cls(
-            character_ref=require_str(doc["character_ref"], "character_ref"),
-            inscription_type=InscriptionType(itype) if itype else None,
-            reasoning_trace=require_str(doc.get("reasoning_trace", ""), "reasoning_trace"),
-            interpretation=require_str(doc["interpretation"], "interpretation"),
-            evidence_used=tuple(doc.get("evidence_used", ())),
-            mode=require_str(doc["mode"], "mode"),
-            backend_names=_str_tuple(doc, "backend_names"),
-            language=require_str(doc.get("language", "zh"), "language"),
-            template_ids=_str_tuple(doc, "template_ids"),
-            usage_by_backend=tuple(
-                (require_str(name, "usage_by_backend"), TokenUsage.from_json(usage))
-                for name, usage in doc.get("usage_by_backend", ())
-            ),
-            retrieval_fallback=bool(doc.get("retrieval_fallback", False)),
-        )
-
-
-def _str_tuple(doc: Mapping, key: str) -> tuple[str, ...]:
-    """``doc[key]``, a list of strings that may be absent, as a tuple."""
-    values = doc.get(key, [])
-    if not isinstance(values, list):
-        raise TypeError(f"{key!r} is {type(values).__name__}, not a list")
-    return tuple(require_str(value, key) for value in values)
+        raises MalformedInputError."""
+        return records.decode(cls, doc, "interpretation result")
 
 
 def _user_message(prompt: str, image: bytes | None) -> ChatMessage:

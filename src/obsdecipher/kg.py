@@ -5,7 +5,8 @@ VARIANT_OF and MAPS_TO edges, held in an in-memory adjacency index. A
 character's component labels live only in its CONTAINS edges: a node holds
 its id, kind, label and explanation. The graph is immutable once built,
 which makes concurrent reads trivially safe. Persistence is line-delimited
-JSON with a trailing sha256 checksum line.
+JSON with a trailing sha256 checksum line; nodes and edges follow the wire
+rule of :mod:`.records`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Annotated, Iterable, Mapping
 
+from . import records
 from ._io import atomic_write_text
-from .dataset import Corpus, require_str
-from .errors import CorruptFileError, InconsistentCorpusError, NotFoundError
+from .dataset import Corpus, parse_json_object
+from .errors import CorruptFileError, InconsistentCorpusError, MalformedInputError, NotFoundError
 
 
 class NodeKind(str, Enum):
@@ -43,7 +45,7 @@ _EDGE_ENDPOINT_KINDS = {
 
 @dataclass(frozen=True)
 class Node:
-    node_id: str
+    node_id: Annotated[str, "id"]
     kind: NodeKind
     label: str
     explanation: str = ""
@@ -51,8 +53,8 @@ class Node:
 
 @dataclass(frozen=True)
 class Edge:
-    src: str
-    dst: str
+    src: Annotated[str, "from"]
+    dst: Annotated[str, "to"]
     relation: Relation
 
 
@@ -257,34 +259,13 @@ def build_graph(
 # --- persistence -------------------------------------------------------------
 
 
-def _node_line(node: Node) -> str:
-    return json.dumps(
-        {
-            "t": "node",
-            "id": node.node_id,
-            "kind": node.kind.value,
-            "label": node.label,
-            "explanation": node.explanation,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
-
-
-def _edge_line(edge: Edge) -> str:
-    return json.dumps(
-        {"t": "edge", "from": edge.src, "to": edge.dst, "relation": edge.relation.value},
-        ensure_ascii=False,
-        sort_keys=True,
-    )
-
-
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     """LDJSON dump: meta line, nodes, edges, then a sha256 checksum line."""
+    # the meta line alone keeps json's ASCII escaping: see records
     lines = [json.dumps({"t": "meta", "source_split": graph.source_split}, sort_keys=True)]
-    lines.extend(_node_line(graph.nodes[nid]) for nid in sorted(graph.nodes))
+    lines.extend(records.line(graph.nodes[nid], {"t": "node"}) for nid in sorted(graph.nodes))
     lines.extend(
-        _edge_line(e)
+        records.line(e, {"t": "edge"})
         for e in sorted(graph.edges, key=lambda e: (e.relation.value, e.src, e.dst))
     )
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
@@ -314,33 +295,21 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
     nodes: list[Node] = []
     edges: list[Edge] = []
     for lineno, line in enumerate(body, 1):
+        where = f"{path}:{lineno}"
         try:
-            rec = json.loads(line.decode("utf-8"))
+            rec = parse_json_object(line, where)
             t = rec.get("t")
             if t == "meta":
-                source_split = require_str(rec.get("source_split", ""), "source_split")
+                source_split = rec.get("source_split", "")
+                if not isinstance(source_split, str):
+                    raise MalformedInputError(f"{where}: 'source_split' is not a string")
             elif t == "node":
                 # an "attributes" key, written by older versions, is ignored
-                nodes.append(
-                    Node(
-                        node_id=require_str(rec["id"], "id"),
-                        kind=NodeKind(rec["kind"]),
-                        label=require_str(rec["label"], "label"),
-                        explanation=require_str(rec.get("explanation", ""), "explanation"),
-                    )
-                )
+                nodes.append(records.decode(Node, rec, where))
             elif t == "edge":
-                edges.append(
-                    Edge(
-                        src=require_str(rec["from"], "from"),
-                        dst=require_str(rec["to"], "to"),
-                        relation=Relation(rec["relation"]),
-                    )
-                )
+                edges.append(records.decode(Edge, rec, where))
             else:
                 raise CorruptFileError(f"graph file line {lineno} has unknown type {t!r}")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # not UTF-8 or not JSON, not an object, a missing key, a value of
-            # the wrong type, an unknown kind
-            raise CorruptFileError(f"graph file line {lineno} is malformed: {exc!r}") from exc
+        except MalformedInputError as exc:
+            raise CorruptFileError(f"graph file line {lineno} is malformed: {exc}") from exc
     return KnowledgeGraph(nodes, edges, source_split=source_split)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+from . import records
 from ._io import atomic_write_text, temp_name
 from .backends import ChatBackend, OfflineChatBackend, backend_from_env
 from .classifier import ClassifierModel, classify_topk
@@ -87,9 +88,6 @@ class PipelineBackends:
 class RunFailure:
     character_id: str
     error: str
-
-    def to_json(self) -> dict:
-        return {"character_id": self.character_id, "error": self.error}
 
 
 def interpret_character(
@@ -287,7 +285,7 @@ def _run_manifest(
         "backend_names": sorted({backends.chat.name, backends.retriever.name, backends.reasoner.name}),
         "template_ids": sorted({tid for r in results for tid in r.template_ids}),
         "results": result_hashes,
-        "failures": [f.to_json() for f in failures],
+        "failures": [records.encode(f, {}) for f in failures],
         "result_count": len(results),
         "failure_count": len(failures),
     }

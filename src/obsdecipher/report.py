@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
+from . import records
 from .backends import ChatBackend
 from .dataset import CharacterRecord
 from .embedding import EmbeddingProvider, EmbeddingVector
@@ -35,18 +36,10 @@ class MetricReport:
     metadata: dict
     per_item: tuple[dict, ...]
     aggregate: dict
-    failures: tuple[dict, ...]
+    failures: Annotated[tuple[dict, ...], records.OMIT_EMPTY]
 
     def to_json(self) -> dict:
-        doc = {
-            "schema_version": 1,
-            "metadata": self.metadata,
-            "per_item": list(self.per_item),
-            "aggregate": self.aggregate,
-        }
-        if self.failures:
-            doc["failures"] = list(self.failures)
-        return doc
+        return records.encode(self, {"schema_version": 1})
 
     def to_table(self) -> str:
         """Small fixed-width summary for terminals."""

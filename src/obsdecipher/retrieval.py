@@ -13,7 +13,7 @@ cache so repeated or near-duplicate queries in a workload are served
 without touching the graph.
 
 A bundle records facts only: the predicted components, the executed plan
-(``trace``, one ``(tool, argument)`` pair per stage-1 call, whether the
+(``trace``, one ``ToolCall`` per stage-1 call, whether the
 cache or the graph answered it), the ranked items and whether they reach
 ``MIN_EVIDENCE``. An item's origin follows from its kind: explanations and
 containing characters come from the two tools, variants and modern
@@ -26,10 +26,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Annotated, NamedTuple, Sequence
 
 import numpy as np
 
+from . import records
 from .classifier import RankedPrediction
 from .embedding import EmbeddingProvider, EmbeddingVector, embed_text
 from .errors import ConfigError, NotFoundError, ZeroNormError
@@ -66,18 +67,14 @@ class EvidenceItem:
     subject: str
     content: str
     rank: int = 0
-    co_components: tuple[str, ...] = ()
+    co_components: Annotated[tuple[str, ...], records.OMIT_EMPTY] = ()
 
-    def to_json(self) -> dict:
-        doc = {
-            "kind": self.kind.value,
-            "subject": self.subject,
-            "content": self.content,
-            "rank": self.rank,
-        }
-        if self.co_components:
-            doc["co_components"] = list(self.co_components)
-        return doc
+
+class ToolCall(NamedTuple):
+    """One stage-1 graph query."""
+
+    tool: ToolName
+    argument: str
 
 
 @dataclass(frozen=True)
@@ -87,18 +84,11 @@ class EvidenceBundle:
     character_ref: str
     predicted_components: tuple[tuple[str, float], ...]
     items: tuple[EvidenceItem, ...]
-    trace: tuple[tuple[ToolName, str], ...]
+    trace: tuple[ToolCall, ...]
     sufficient: bool
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 2,
-            "character_ref": self.character_ref,
-            "predicted_components": [[label, dist] for label, dist in self.predicted_components],
-            "items": [item.to_json() for item in self.items],
-            "trace": [{"tool": tool.value, "argument": argument} for tool, argument in self.trace],
-            "sufficient": self.sufficient,
-        }
+        return records.encode(self, {"schema_version": 2})
 
 
 class SemanticCache:
@@ -385,6 +375,6 @@ def retrieve_evidence(
         character_ref=character_ref,
         predicted_components=tuple(predicted.entries[:TOP_M]),
         items=items,
-        trace=tuple(calls),
+        trace=tuple(ToolCall(*call) for call in calls),
         sufficient=len(items) >= MIN_EVIDENCE,
     )

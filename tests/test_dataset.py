@@ -304,7 +304,8 @@ def test_component_labels_must_be_a_list_of_strings(tmp_path, labels):
     good = {"kind": "character", "character_id": "c0", "component_labels": ["roof"]}
     bad = {"kind": "character", "character_id": "c1", "component_labels": labels}
     path.write_text("\n".join(json.dumps(r) for r in (good, bad)) + "\n", encoding="utf-8")
-    with pytest.raises(MalformedInputError, match=re.escape(f"{path}:2: component_labels must be a list")):
+    with pytest.raises(MalformedInputError,
+                       match=re.escape(f"{path}:2: malformed character record: 'component_labels'")):
         read_manifest(path)
 
 

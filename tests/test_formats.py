@@ -220,3 +220,46 @@ def test_every_written_file_matches_its_golden_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     golden = json.loads((GOLDENS / "file_digests.json").read_text(encoding="utf-8"))
     assert _written_files(tmp_path) == golden
+
+
+# --- no silent coercion --------------------------------------------------------
+
+# (file, field, value): values the readers once coerced into a record
+COERCIONS = [
+    ("result", "retrieval_fallback", "false"),
+    ("result", "evidence_used", "12"),
+    ("result", "evidence_used", [1.5, "a", None]),
+    ("result", "inscription_type", 0),
+    ("result", "inscription_type", []),
+    ("result", "usage_by_backend", [["offline-mock", {"prompt": "7", "completion": 1}]]),
+    ("result", "usage_by_backend", [["offline-mock", {"prompt": 2.9, "completion": 1}]]),
+    ("result", "usage_by_backend", [["offline-mock", {"prompt": True, "completion": 1}]]),
+    ("manifest", "polygon", [["1", "2"], [3, 4], [5, 6]]),
+    ("manifest", "polygon", [[True, 0], [3, 4], [5, 6]]),
+]
+
+
+@pytest.mark.parametrize("file,field,value", COERCIONS,
+                         ids=[f"{f}-{k}-{json.dumps(v)}" for f, k, v in COERCIONS])
+def test_a_value_of_the_wrong_json_type_is_refused(valid, tmp_path, file, field, value):
+    if file == "result":
+        results = tmp_path / "results"
+        shutil.copytree(valid / "results", results)
+        path = results / "char0001.json"
+        path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), field: value}),
+                        encoding="utf-8")
+        args = ["evaluate", "--results", results, "--gold", valid / "corpus.ldjson",
+                "--metrics", "rouge1"]
+    else:
+        lines = (valid / "corpus.ldjson").read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "component")
+        lines[at] = json.dumps({**json.loads(lines[at]), field: value}, ensure_ascii=False)
+        path = tmp_path / "corpus.ldjson"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = ["train", "--manifest", path, "--out", tmp_path / "model.bin",
+                "--image-root", valid]
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1, result.output
+    assert f"MalformedInputError: {path}" in result.output
+    assert f"'{field}" in result.output
+    assert isinstance(result.exception, SystemExit)
