@@ -42,7 +42,7 @@ def _read_json_object(path: str | Path) -> dict:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    return dataset.parse_json_object(raw, str(path))
+    return records.parse(raw, str(path))
 
 
 def _configured(backend):

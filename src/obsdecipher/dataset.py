@@ -8,7 +8,6 @@ manifests are all read and written by the wire rule of :mod:`.records`.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -92,17 +91,6 @@ class Corpus:
     vocabulary: frozenset[str] = field(default_factory=frozenset)
 
 
-def parse_json_object(raw: bytes, what: str) -> dict:
-    """Decode UTF-8 JSON whose root is an object, else MalformedInputError."""
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedInputError(f"{what} is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedInputError(f"{what} root must be a JSON object")
-    return doc
-
-
 def parse_annotation(raw: bytes) -> AnnotationFile:
     """Parse one LabelMe-style JSON annotation into a validated AnnotationFile.
 
@@ -111,7 +99,7 @@ def parse_annotation(raw: bytes) -> AnnotationFile:
     type, or a shape is invalid (fewer than 3 points, point out of image
     bounds).
     """
-    doc = parse_json_object(raw, "annotation")
+    doc = records.parse(raw, "annotation")
     try:
         file = records.decode(AnnotationFile, doc, "annotation")
     except MalformedInputError as exc:
@@ -308,19 +296,9 @@ def read_manifest(path: str | Path) -> Corpus:
 
     The vocabulary is recovered as the union of labels seen in the manifest.
     """
-    characters: list[CharacterRecord] = []
-    components: list[ComponentRecord] = []
-    kinds = {"character": (characters, CharacterRecord), "component": (components, ComponentRecord)}
-    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        rec = parse_json_object(line, where)
-        kind = rec.get("kind")
-        if not (isinstance(kind, str) and kind in kinds):
-            raise MalformedInputError(f"{where}: unknown record kind {kind!r}")
-        into, cls = kinds[kind]
-        into.append(records.decode(cls, rec, f"{where}: malformed {kind} record"))
+    found = records.read_lines(Path(path).read_bytes().splitlines(), path, "kind",
+                               {"character": CharacterRecord, "component": ComponentRecord})
+    characters, components = found["character"], found["component"]
     vocabulary = frozenset(c.label for c in components) | frozenset(
         label for char in characters for label in char.component_labels
     )

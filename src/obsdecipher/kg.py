@@ -16,11 +16,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Annotated, Iterable, Mapping
+from typing import Annotated, Iterable, Mapping, NamedTuple
 
 from . import records
 from ._io import atomic_write_text
-from .dataset import Corpus, parse_json_object
+from .dataset import Corpus
 from .errors import CorruptFileError, InconsistentCorpusError, MalformedInputError, NotFoundError
 
 
@@ -259,10 +259,16 @@ def build_graph(
 # --- persistence -------------------------------------------------------------
 
 
+class _Meta(NamedTuple):
+    """The first line of a graph file."""
+
+    source_split: Annotated[str, records.Absent("")]
+
+
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     """LDJSON dump: meta line, nodes, edges, then a sha256 checksum line."""
     # the meta line alone keeps json's ASCII escaping: see records
-    lines = [json.dumps({"t": "meta", "source_split": graph.source_split}, sort_keys=True)]
+    lines = [json.dumps(records.encode(_Meta(graph.source_split), {"t": "meta"}), sort_keys=True)]
     lines.extend(records.line(graph.nodes[nid], {"t": "node"}) for nid in sorted(graph.nodes))
     lines.extend(
         records.line(e, {"t": "edge"})
@@ -291,25 +297,10 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
     if hashlib.sha256(b"\n".join(body)).hexdigest() != last.get("sha256"):
         raise CorruptFileError("graph file checksum mismatch")
 
-    source_split = ""
-    nodes: list[Node] = []
-    edges: list[Edge] = []
-    for lineno, line in enumerate(body, 1):
-        where = f"{path}:{lineno}"
-        try:
-            rec = parse_json_object(line, where)
-            t = rec.get("t")
-            if t == "meta":
-                source_split = rec.get("source_split", "")
-                if not isinstance(source_split, str):
-                    raise MalformedInputError(f"{where}: 'source_split' is not a string")
-            elif t == "node":
-                # an "attributes" key, written by older versions, is ignored
-                nodes.append(records.decode(Node, rec, where))
-            elif t == "edge":
-                edges.append(records.decode(Edge, rec, where))
-            else:
-                raise CorruptFileError(f"graph file line {lineno} has unknown type {t!r}")
-        except MalformedInputError as exc:
-            raise CorruptFileError(f"graph file line {lineno} is malformed: {exc}") from exc
-    return KnowledgeGraph(nodes, edges, source_split=source_split)
+    # an "attributes" key, written by older versions of node lines, is ignored
+    try:
+        found = records.read_lines(body, path, "t", {"meta": _Meta, "node": Node, "edge": Edge})
+    except MalformedInputError as exc:
+        raise CorruptFileError(f"graph file is malformed: {exc}") from exc
+    source_split = found["meta"][-1].source_split if found["meta"] else ""
+    return KnowledgeGraph(found["node"], found["edge"], source_split=source_split)

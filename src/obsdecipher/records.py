@@ -141,6 +141,33 @@ def _decode(cls, doc):
     return cls(**values)
 
 
+def parse(raw: bytes, where: str) -> dict:
+    """UTF-8 JSON bytes whose root is an object, read at ``where``."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedInputError(f"{where} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"{where} root must be a JSON object")
+    return doc
+
+
+def read_lines(lines: list[bytes], path: object, tag: str, classes: dict) -> dict:
+    """The records on the ``lines`` of the LDJSON file ``path``, listed by
+    the value of their ``tag`` key, which names each one's class in
+    ``classes``; blank lines are skipped."""
+    found = {name: [] for name in classes}
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            doc = parse(line, f"{path}:{lineno}")
+            name = doc.get(tag)
+            if not (isinstance(name, str) and name in classes):
+                raise MalformedInputError(f"{path}:{lineno}: unknown record {tag} {name!r}")
+            where = f"{path}:{lineno}: malformed {name} record"
+            found[name].append(decode(classes[name], doc, where))
+    return found
+
+
 def decode(cls, doc: object, where: str):
     """The JSON value ``doc``, read at ``where``, as a ``cls`` record."""
     try:
@@ -156,7 +183,7 @@ def encode(record, head: dict) -> dict:
     doc = dict(head)
     for name, key, _, write, _, omit_empty in _plan(type(record)):
         value = getattr(record, name)
-        if value or not omit_empty:
+        if not omit_empty or value:
             doc[key] = value if write is None else write(value)
     return doc
 
