@@ -70,13 +70,18 @@ _SCALARS = {
 }
 
 
-def _list(value, length: int | None) -> list:
-    """``value``, which must be a list, and of ``length`` items if that is set."""
-    if type(value) is not list:
-        _fail(f"is {type(value).__name__}, not a list")
-    if length is not None and len(value) != length:
+def _not_a_list(value, length: int | None):
+    """Refuse ``value``: no list, or not of ``length`` items where that is set."""
+    if type(value) is list:
         _fail(f"has {len(value)} items, not {length}")
-    return value
+    _fail(f"is {type(value).__name__}, not a list")
+
+
+def _optional(tp):
+    """``X`` where ``tp`` is ``X | None``, else None."""
+    if get_origin(tp) in (Union, types.UnionType):
+        return next(a for a in get_args(tp) if a is not type(None))
+    return None
 
 
 def _codec(tp) -> tuple:
@@ -86,17 +91,18 @@ def _codec(tp) -> tuple:
     origin, args = get_origin(tp), get_args(tp)
     if tp in _SCALARS:
         return _SCALARS[tp], None
-    if origin in (Union, types.UnionType):
-        read, write = _codec(next(a for a in args if a is not type(None)))
+    if _optional(tp):
+        read, write = _codec(_optional(tp))
         return (lambda v: None if v is None else read(v)), (
             write and (lambda v: None if v is None else write(v)))
     if origin is tuple and args[-1] is Ellipsis:
         read, write = _codec(args[0])
-        return (lambda v: tuple(map(read, _list(v, None)))), (
+        return (lambda v: tuple(map(read, v)) if type(v) is list else _not_a_list(v, None)), (
             (lambda v: [write(x) for x in v]) if write else list)
-    if origin is tuple:
-        reads, writes = zip(*map(_codec, args))
-        return (lambda v: tuple(r(x) for r, x in zip(reads, _list(v, len(reads))))), (
+    if origin is tuple:  # a pair
+        (r0, r1), writes = zip(*map(_codec, args))
+        return (lambda v: (r0(v[0]), r1(v[1])) if type(v) is list and len(v) == 2
+                else _not_a_list(v, 2)), (
             (lambda v: [x if w is None else w(x) for w, x in zip(writes, v)]) if any(writes)
             else list)
     if issubclass(tp, Enum):
@@ -107,21 +113,26 @@ def _codec(tp) -> tuple:
 
 
 @cache
-def _plan(cls) -> list[tuple]:
-    """``(name, key, read, write, default, omit_empty)`` per field of the
-    record class ``cls``, resolved once per class."""
+def _plan(cls) -> tuple[list, list]:
+    """The fields of the record class ``cls``, resolved once per class: to
+    decode, ``(name, key, exact type, read, default)``, the exact type being
+    one a value of needs no ``read``; to encode, ``(name, key, write,
+    omit_empty)``."""
     hints = get_type_hints(cls, include_extras=True)
-    plan = []
+    reads, writes = [], []
     for name, param in inspect.signature(cls).parameters.items():
         tp, marks = hints[name], ()
         if get_origin(tp) is Annotated:
             tp, *marks = get_args(tp)
         default = next((m.value for m in marks if isinstance(m, Absent)), param.default)
-        if default is _REQUIRED and get_origin(tp) in (tuple, Union, types.UnionType):
-            default = () if get_origin(tp) is tuple else None
+        if default is _REQUIRED and (_optional(tp) or get_origin(tp) is tuple):
+            default = None if _optional(tp) else ()
         key = next((m for m in marks if isinstance(m, str)), name)
-        plan.append((name, key, *_codec(tp), default, OMIT_EMPTY in marks))
-    return plan
+        read, write = _codec(tp)
+        exact = _optional(tp) or tp
+        reads.append((name, key, exact if exact in (str, int, bool) else None, read, default))
+        writes.append((name, key, write, OMIT_EMPTY in marks))
+    return reads, writes
 
 
 def _decode(cls, doc):
@@ -129,16 +140,24 @@ def _decode(cls, doc):
         _fail(f"is {type(doc).__name__}, not an object")
     values = {}
     try:
-        for name, key, read, _, default, _ in _plan(cls):
+        for name, key, exact, read, default in _plan(cls)[0]:
             value = doc.get(key, default)
-            if value is _REQUIRED:
+            # a missing key reads as the default, which needs no check
+            if type(value) is not exact and value is not default:
+                value = read(value)
+            elif value is _REQUIRED:
                 _fail("is missing")
-            # a value that is the default itself needs no check
-            values[name] = value if value is default else read(value)
+            values[name] = value
     except _Wrong as exc:
         exc.args[1].append(key)
         raise
     return cls(**values)
+
+
+def _error(exc: _Wrong, where: str) -> MalformedInputError:
+    problem, keys = exc.args
+    field = repr(".".join(reversed(keys))) if keys else "the record"
+    return MalformedInputError(f"{where}: {field} {problem}")
 
 
 def parse(raw: bytes, where: str) -> dict:
@@ -163,8 +182,10 @@ def read_lines(lines: list[bytes], path: object, tag: str, classes: dict) -> dic
             name = doc.get(tag)
             if not (isinstance(name, str) and name in classes):
                 raise MalformedInputError(f"{path}:{lineno}: unknown record {tag} {name!r}")
-            where = f"{path}:{lineno}: malformed {name} record"
-            found[name].append(decode(classes[name], doc, where))
+            try:
+                found[name].append(_decode(classes[name], doc))
+            except _Wrong as exc:
+                raise _error(exc, f"{path}:{lineno}: malformed {name} record") from None
     return found
 
 
@@ -173,15 +194,14 @@ def decode(cls, doc: object, where: str):
     try:
         return _decode(cls, doc)
     except _Wrong as exc:
-        problem, keys = exc.args
-        field = repr(".".join(reversed(keys))) if keys else "the record"
-        raise MalformedInputError(f"{where}: {field} {problem}") from None
+        raise _error(exc, where) from None
+
 
 
 def encode(record, head: dict) -> dict:
     """``record`` as a JSON object: the keys of ``head``, then its fields."""
     doc = dict(head)
-    for name, key, _, write, _, omit_empty in _plan(type(record)):
+    for name, key, write, omit_empty in _plan(type(record))[1]:
         value = getattr(record, name)
         if not omit_empty or value:
             doc[key] = value if write is None else write(value)
