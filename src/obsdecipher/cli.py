@@ -28,7 +28,7 @@ from .dataset import ComponentRecord, Corpus, read_manifest, write_manifest
 from .embedding import EmbeddingProvider, provider_from_env
 from .errors import DOMAIN_ERRORS, ConfigError, MalformedInputError
 from .inference import InterpretationResult
-from .pipeline import PipelineBackends, PipelineConfig, run_pipeline, write_json
+from .pipeline import EVIDENCE_FILE, PipelineBackends, PipelineConfig, run_pipeline, write_json
 from .report import EvalConfig, evaluate_run
 
 
@@ -245,7 +245,7 @@ def _parse_ks(text: str) -> list[int]:
 def build_kg(manifest, explanations, out, source_split):
     """Build the knowledge graph from a (train) corpus manifest."""
     corpus = read_manifest(manifest)
-    expl = _read_json_object(explanations) if explanations else {}
+    expl = _read_explanations(explanations) if explanations else {}
     graph = kg.build_graph(corpus, expl, source_split=source_split or str(manifest))
     kg.save_graph(graph, out)
     _emit(
@@ -256,6 +256,17 @@ def build_kg(manifest, explanations, out, source_split):
             "edges": len(graph.edges),
         }
     )
+
+
+def _read_explanations(path: str | Path) -> dict[str, str]:
+    """The explanations file: a JSON object from component label to text."""
+    doc = _read_json_object(path)
+    for label, text in doc.items():
+        if type(text) is not str:
+            raise MalformedInputError(
+                f"{path}: explanation of {label!r} is {type(text).__name__}, not str"
+            )
+    return doc
 
 
 @main.command()
@@ -292,9 +303,10 @@ def interpret(graph_path, model_path, image, mode, lang, k, out, dump_evidence, 
     """Interpret a single character image end to end.
 
     This is a one-record ``obs run``: it refuses the character ids that
-    ``obs run`` refuses, prints what that run writes for the character
-    (with its evidence file under --dump-evidence) from a temporary run
-    directory, and leaves no file behind but --out.
+    ``obs run`` refuses, prints the result file that run writes for the
+    character from a temporary run directory (under --dump-evidence with the
+    one line of its evidence.ldjson as ``evidence``), and leaves no file
+    behind but --out.
     """
     backends = _configured(PipelineBackends.offline() if mock else PipelineBackends.from_env())
     provider = provider_from_env()
@@ -311,7 +323,8 @@ def interpret(graph_path, model_path, image, mode, lang, k, out, dump_evidence, 
             raise click.ClickException(failures[0].error)
         doc = results[0].to_json()
         if dump_evidence:
-            doc["evidence"] = _read_json_object(Path(run_dir) / "evidence" / f"{cid}.json")
+            # a one-result run: the evidence file is that result's one line
+            doc["evidence"] = _read_json_object(Path(run_dir) / EVIDENCE_FILE)
     if out:
         write_json(out, doc)
     _emit(doc)

@@ -165,7 +165,9 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         try:
             body = resp.json()
             values = body["values"]
-            reported = int(body["dim"])
+            reported = body["dim"]
+            if type(reported) is not int:
+                raise TypeError(f"dim is {type(reported).__name__}, not int")
             if not isinstance(values, list):
                 raise TypeError(f"values is a {type(values).__name__}, not a list")
             # NaN, infinite and non-numeric values raise here too

@@ -10,8 +10,9 @@ The emitted run manifest fingerprints every input (model, graph,
 templates, backends, config) so reported numbers stay attributable and
 reruns are comparable by hash.
 
-Results, evidence files and the manifest hash are the same at every
-concurrency level while the shared semantic cache serves no similarity hit.
+The result files, the evidence file and the manifest hash are the same at
+every concurrency level while the shared semantic cache serves no
+similarity hit.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .kg import KnowledgeGraph
 from .retrieval import MAX_ITEMS, MIN_EVIDENCE, TOP_M, SemanticCache, retrieve_evidence
 
 _NAME_MAX = 255  # bytes in one file name on common Linux and macOS file systems
+EVIDENCE_FILE = "evidence.ldjson"
 
 
 @dataclass(frozen=True)
@@ -161,6 +163,15 @@ def run_pipeline(
     ``manifest_hash`` is deterministic for fixed inputs and mock backends.
     Raises ``MalformedInputError`` before the first character when a
     character id cannot name its own result file under ``out_dir``.
+
+    With ``out_dir`` set, once every character is done, it writes there,
+    each file atomically and in this order:
+
+    - ``<character id>.json`` per result, indented;
+    - ``evidence.ldjson``: one line per result, in corpus order, holding
+      the evidence bundle the result was generated from; a failed
+      character has no line;
+    - ``run_manifest.json``, indented.
     """
     _check_result_names(corpus.characters)
     cache = SemanticCache(provider)
@@ -186,14 +197,15 @@ def run_pipeline(
     failures = [o for o in outcomes if isinstance(o, RunFailure)]
     pairs = [o for o in outcomes if not isinstance(o, RunFailure)]
     results = [result for result, _ in pairs]
+    docs = [result.to_json() for result in results]
 
-    manifest = _run_manifest(results, failures, model, graph, cache, backends, config)
+    manifest = _run_manifest(results, docs, failures, model, graph, cache, backends, config)
     if out_dir is not None:
         out = Path(out_dir)
-        (out / "evidence").mkdir(parents=True, exist_ok=True)
-        for result, bundle in pairs:
-            write_json(out / f"{result.character_ref}.json", result.to_json())
-            write_json(out / "evidence" / f"{result.character_ref}.json", bundle.to_json())
+        out.mkdir(parents=True, exist_ok=True)
+        for result, doc in zip(results, docs):
+            write_json(out / f"{result.character_ref}.json", doc)
+        atomic_write_text(out / EVIDENCE_FILE, "".join(b.to_line() + "\n" for _, b in pairs))
         write_json(out / "run_manifest.json", manifest)
     return results, failures, manifest
 
@@ -247,6 +259,7 @@ def _model_fingerprint(model: ClassifierModel) -> str:
 
 def _run_manifest(
     results: Sequence[InterpretationResult],
+    docs: Sequence[dict],
     failures: Sequence[RunFailure],
     model: ClassifierModel,
     graph: KnowledgeGraph,
@@ -255,8 +268,7 @@ def _run_manifest(
     config: PipelineConfig,
 ) -> dict:
     result_hashes = [
-        _sha256_text(json.dumps(r.to_json(), ensure_ascii=False, sort_keys=True))
-        for r in results
+        _sha256_text(json.dumps(doc, ensure_ascii=False, sort_keys=True)) for doc in docs
     ]
     graph_fingerprint = _sha256_text(
         json.dumps(

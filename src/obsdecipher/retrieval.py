@@ -87,8 +87,9 @@ class EvidenceBundle:
     trace: tuple[ToolCall, ...]
     sufficient: bool
 
-    def to_json(self) -> dict:
-        return records.encode(self, {"schema_version": 2})
+    def to_line(self) -> str:
+        """The bundle as one line of a run's evidence file."""
+        return records.line(self, {"schema_version": 2})
 
 
 class SemanticCache:

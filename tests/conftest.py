@@ -88,7 +88,7 @@ def full_scan_entries(model, query, k):
 
 def canonical_json(bundle):
     """An evidence bundle as sorted, unescaped JSON, for byte comparisons."""
-    return json.dumps(bundle.to_json(), ensure_ascii=False, sort_keys=True)
+    return bundle.to_line()
 
 
 def build_fixture_corpus(n_characters=20, n_labels=12, seed=0, with_metadata=True):

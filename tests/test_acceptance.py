@@ -340,7 +340,8 @@ def test_criterion_8_end_to_end_offline_run(tmp_path, monkeypatch):
 
         result_files = sorted(p for p in out_dir.glob("char*.json"))
         assert len(result_files) == 10
-        for path in result_files:
+        evidence_lines = (out_dir / "evidence.ldjson").read_text(encoding="utf-8").splitlines()
+        for path, line in zip(result_files, evidence_lines, strict=True):
             item = json.loads(path.read_text(encoding="utf-8"))
             # all four stages left their marks: predictions fed retrieval (b),
             # type inference (c) and generation (d) populated the result
@@ -350,9 +351,8 @@ def test_criterion_8_end_to_end_offline_run(tmp_path, monkeypatch):
             assert item["interpretation"]
             assert item["token_usage"]["prompt"] > 0
             assert item["token_usage"]["completion"] > 0
-            evidence = json.loads(
-                (out_dir / "evidence" / path.name).read_text(encoding="utf-8")
-            )
+            evidence = json.loads(line)
+            assert evidence["character_ref"] == path.stem
             assert evidence["predicted_components"], "stage (a) output missing"
             assert isinstance(evidence["trace"], list)
 

@@ -454,6 +454,22 @@ class TestGraphCommands:
         assert result.exit_code == 1
         assert "NotFound" in result.output
 
+    @pytest.mark.parametrize("value", [5, None, ["text"], {"zh": "text"}], ids=repr)
+    def test_an_explanation_that_is_not_a_string_is_refused(self, runner, tmp_path, value):
+        corpus, manifest, explanations = make_run_fixture(tmp_path, n_characters=3)
+        label = sorted({c.label for c in corpus.components})[0]
+        doc = json.loads(explanations.read_text(encoding="utf-8"))
+        explanations.write_text(json.dumps({**doc, label: value}), encoding="utf-8")
+        graph_path = tmp_path / "graph.ldjson"
+        result = runner.invoke(
+            main, ["build-kg", "--manifest", str(manifest), "--explanations", str(explanations),
+                   "--out", str(graph_path)],
+        )
+        assert result.exit_code == 1
+        assert "MalformedInputError" in result.output
+        assert f"explanation of {label!r}" in result.output
+        assert not graph_path.exists()
+
 
 class TestInterpretCommand:
     def build_artifacts(self, tmp_path):
@@ -507,10 +523,8 @@ class TestInterpretCommand:
         )
         assert result.exit_code == 0
         written = json.loads((out_dir / f"{char.character_id}.json").read_text(encoding="utf-8"))
-        evidence = out_dir / "evidence" / f"{char.character_id}.json"
-        assert last_json(result.output) == {
-            **written, "evidence": json.loads(evidence.read_text(encoding="utf-8"))
-        }
+        (line,) = (out_dir / "evidence.ldjson").read_text(encoding="utf-8").splitlines()
+        assert last_json(result.output) == {**written, "evidence": json.loads(line)}
 
     @pytest.mark.parametrize(
         "image_bytes,ref,message",
@@ -729,7 +743,10 @@ class TestRunCommand:
         )
         assert result.exit_code == 0
         assert (out_dir / f"{longest}.json").is_file()
-        assert (out_dir / "evidence" / f"{longest}.json").is_file()
+        lines = (out_dir / "evidence.ldjson").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["character_ref"] for line in lines] == [
+            longest, corpus.characters[1].character_id
+        ]
 
     def test_run_requires_backend_or_mock(self, runner, tmp_path):
         _, manifest, explanations = make_run_fixture(tmp_path, n_characters=2)
@@ -825,10 +842,10 @@ class TestRunCommand:
     @pytest.mark.parametrize("mode", ["vlm", "multi_agent"])
     def test_evidence_files_do_not_depend_on_concurrency(self, runner, tmp_path, mode):
         # the pooled runs share one cache, so which worker reaches the graph
-        # first varies from run to run; the evidence files must not
+        # first varies from run to run; the evidence file must not
         _, manifest, explanations = make_run_fixture(tmp_path, n_characters=40)
         model, graph = train_and_build_kg(manifest, explanations)
-        trees = []
+        files = []
         for name, workers in (("serial", "1"), ("pooled1", "4"), ("pooled2", "4")):
             out_dir = tmp_path / name
             invoke(
@@ -836,10 +853,10 @@ class TestRunCommand:
                 "--model", str(model), "--graph", str(graph), "--mock", "--mode", mode,
                 "--image-root", str(tmp_path), "--concurrency", workers,
             )
-            trees.append({p.name: p.read_bytes() for p in (out_dir / "evidence").glob("*.json")})
-        assert len(trees[0]) == 40
-        assert trees[1] == trees[0]
-        assert trees[2] == trees[0]
+            files.append((out_dir / "evidence.ldjson").read_bytes())
+        assert len(files[0].splitlines()) == 40
+        assert files[1] == files[0]
+        assert files[2] == files[0]
 
     @pytest.mark.parametrize("mode", ["vlm", "multi_agent"])
     def test_mock_run_matches_golden_manifest_hash(self, runner, tmp_path, monkeypatch, mode):

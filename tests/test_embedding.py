@@ -180,6 +180,16 @@ class TestRemoteProvider:
         with pytest.raises(ProviderUnavailableError, match="malformed embedding response"):
             embed_text(provider, "hi")
 
+    @pytest.mark.parametrize("dim", ["4", 4.9, True], ids=["string", "float", "bool"])
+    def test_dim_must_be_a_json_integer(self, monkeypatch, dim):
+        monkeypatch.setattr(
+            emb.requests, "post",
+            lambda *a, **k: _FakeResponse(body={"dim": dim, "values": [1.0, 0.0, 0.0, 0.0]}),
+        )
+        provider = RemoteEmbeddingProvider("http://host:9000", dim=4)
+        with pytest.raises(ProviderUnavailableError, match="malformed embedding response"):
+            embed_text(provider, "hi")
+
     def test_http_error_status(self, monkeypatch):
         monkeypatch.setattr(emb.requests, "post", lambda *a, **k: _FakeResponse(status_code=500))
         provider = RemoteEmbeddingProvider("http://host:9000", dim=8)

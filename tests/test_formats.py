@@ -50,7 +50,6 @@ def valid(tmp_path_factory):
     _invoke("run", "--manifest", manifest, "--out-dir", root / "results", "--model", model,
             "--graph", graph, "--mock", "--image-root", root)
     (root / "results" / "run_manifest.json").unlink()
-    shutil.rmtree(root / "results" / "evidence")
     annotations = root / "ann"
     annotations.mkdir()
     write_annotation(annotations / "char0.json", image_path="char0.png", shapes=[
@@ -74,6 +73,9 @@ def _command(format_name, command, root, bad):
     if format_name == "metadata":
         return ["ingest", "--annotations", root / "ann", "--vocab", root / "vocab.txt",
                 "--metadata", bad, "--out", bad.parent / "out.ldjson"]
+    if format_name == "explanations":
+        return ["build-kg", "--manifest", root / "corpus.ldjson", "--explanations", bad,
+                "--out", bad.parent / "g.ldjson"]
     if format_name == "graph":
         return ["query", "--graph", bad, "--tool", "characters_by_component", "--arg", "hand"]
     if format_name == "model":
@@ -96,6 +98,7 @@ def _source(format_name, root):
         "annotation": root / "ann" / "char0.json",
         "metadata": root / "metadata.json",
         "manifest": root / "corpus.ldjson",
+        "explanations": root / "explanations.json",
         "graph": root / "graph.ldjson",
         "model": root / "model.bin",
         "result": root / "results" / "char0001.json",
@@ -160,8 +163,8 @@ def _rechecksum(raw):
 
 REFEREE_CASES = [
     ("annotation", "ingest"), ("metadata", "ingest"), ("manifest", "train"),
-    ("manifest", "build-kg"), ("manifest", "evaluate"), ("graph", "query"),
-    ("model", "classify"), ("result", "evaluate"),
+    ("manifest", "build-kg"), ("manifest", "evaluate"), ("explanations", "build-kg"),
+    ("graph", "query"), ("model", "classify"), ("result", "evaluate"),
 ]
 
 

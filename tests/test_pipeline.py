@@ -1,4 +1,5 @@
-"""run_pipeline's per-character fault containment and the model fingerprint."""
+"""run_pipeline's per-character fault containment, its evidence file and
+the model fingerprint."""
 
 import hashlib
 import json
@@ -7,11 +8,13 @@ import threading
 import numpy as np
 import pytest
 
+from obsdecipher import records
 from obsdecipher.backends import OfflineChatBackend
 from obsdecipher.classifier import ClassifierModel, build_prototypes
 from obsdecipher.embedding import StubEmbeddingProvider
 from obsdecipher.kg import build_graph
 from obsdecipher.pipeline import PipelineBackends, PipelineConfig, _model_fingerprint, run_pipeline
+from obsdecipher.retrieval import EvidenceBundle
 
 from conftest import fixture_explanations, make_run_fixture
 
@@ -84,6 +87,28 @@ def test_a_fault_in_one_character_fails_only_that_character(tmp_path, where, fau
     assert written == manifest
     assert written["failure_count"] == 1
     assert written["result_count"] == len(corpus.characters) - 1
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_the_evidence_file_has_one_line_per_result_in_corpus_order(tmp_path, concurrency):
+    corpus, _, _ = make_run_fixture(tmp_path, n_characters=6)
+    provider = FaultyProvider(ThirdCallFails(RuntimeError("encoder crashed")))
+    model, graph = model_and_graph(corpus, provider)
+    out = tmp_path / "out"
+    results, failures, _ = run_pipeline(
+        corpus, provider, model, graph, PipelineBackends.offline(),
+        PipelineConfig(concurrency=concurrency), image_root=tmp_path, out_dir=out,
+    )
+    (failed,) = [f.character_id for f in failures]
+    ok = [c.character_id for c in corpus.characters if c.character_id != failed]
+    assert [r.character_ref for r in results] == ok
+    lines = (out / "evidence.ldjson").read_text(encoding="utf-8").splitlines()
+    bundles = [records.decode(EvidenceBundle, json.loads(line), "evidence") for line in lines]
+    assert [b.character_ref for b in bundles] == ok
+    assert [b.to_line() for b in bundles] == lines
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{cid}.json" for cid in ok] + ["evidence.ldjson", "run_manifest.json"]
+    )
 
 
 class Halt(BaseException):
