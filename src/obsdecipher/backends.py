@@ -1,8 +1,9 @@
 """Chat/vision backends: HTTP client and offline deterministic mock.
 
 The hosted models are interchangeable; everything model-specific stays
-behind the ChatBackend contract. The offline backend answers any pipeline
-prompt deterministically so the full system runs with zero network access.
+behind the ChatBackend contract. The HTTP client posts through the stdlib
+``_io.post_json``; the offline backend answers any pipeline prompt
+deterministically so the full system runs with zero network access.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import os
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Annotated
-
-import requests
+from typing import Annotated, NamedTuple
 
 from . import records
+from ._io import post_json
 from .dataset import INSCRIPTION_TYPES
 from .errors import BackendUnavailableError
 
@@ -84,16 +84,26 @@ def _request_tokens(request: ChatRequest) -> int:
     return n
 
 
+class _WireUsage(NamedTuple):
+    prompt_tokens: Annotated[int, records.Absent(0)]
+    completion_tokens: Annotated[int, records.Absent(0)]
+
+
+class _ChatReply(NamedTuple):
+    content: str
+    usage: Annotated[_WireUsage, records.Absent(_WireUsage(0, 0))]
+
+
 class HttpChatBackend(ChatBackend):
     """Client for the chat wire protocol.
 
     POST ``{model, temperature, messages:[{role, content|image_b64}]}``,
     with the backend's own ``model`` (left out when it has none) and
     temperature 0 so that replies are as repeatable as the service allows;
-    the service replies
-    ``{content, usage:{prompt_tokens, completion_tokens}}``.
-    The client sets no limit of its own on requests in flight: the caller's
-    concurrency (``run_pipeline``'s pool) bounds them.
+    the service replies ``{content, usage:{prompt_tokens, completion_tokens}}``,
+    a ``_ChatReply`` whose missing counts read as 0. Any other reply, a status
+    other than 200 or an unreachable service raises ``BackendUnavailableError``.
+    Only the caller's concurrency (``run_pipeline``'s pool) bounds requests in flight.
     """
 
     def __init__(self, url: str, api_key: str | None = None, model: str | None = None):
@@ -109,26 +119,10 @@ class HttpChatBackend(ChatBackend):
         body: dict = {"temperature": 0.0, "messages": messages}
         if self.model:
             body["model"] = self.model
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        try:
-            resp = requests.post(self._url, json=body, headers=headers, timeout=_TIMEOUT_S)
-        except requests.RequestException as exc:
-            raise BackendUnavailableError(f"chat backend unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendUnavailableError(f"chat backend returned HTTP {resp.status_code}")
-        try:
-            doc = resp.json()
-            content, usage = doc["content"], doc.get("usage", {})
-            if not isinstance(content, str) or not isinstance(usage, dict):
-                raise TypeError("content must be a string and usage an object")
-            counts = [usage.get(key, 0) for key in ("prompt_tokens", "completion_tokens")]
-            if any(type(n) is not int for n in counts):
-                raise TypeError(f"token counts {counts!r} are not integers")
-            return ChatResponse(content=content, usage=TokenUsage(*counts))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendUnavailableError(f"malformed chat response: {exc}") from exc
+        headers = {"Authorization": f"Bearer {self._api_key}"} if self._api_key else {}
+        reply = post_json(
+            self._url, body, _ChatReply, BackendUnavailableError, "chat", _TIMEOUT_S, headers)
+        return ChatResponse(reply.content, TokenUsage(*reply.usage))
 
 
 _PREDICTION_LINE_RE = re.compile(r"(?m)^- (.+?) \(distance=")
@@ -190,13 +184,8 @@ def backend_from_env(role: str | None = None) -> ChatBackend | None:
     URL overrides; both fall back to the shared chat endpoint. Every role
     sends the model named by ``OBS_CHAT_MODEL``, if set.
     """
-    url = ""
-    if role == "retriever":
-        url = os.environ.get(RETRIEVER_URL_ENV, "").strip()
-    elif role == "reasoner":
-        url = os.environ.get(REASONER_URL_ENV, "").strip()
-    if not url:
-        url = os.environ.get(CHAT_URL_ENV, "").strip()
+    own = {"retriever": RETRIEVER_URL_ENV, "reasoner": REASONER_URL_ENV}.get(role, CHAT_URL_ENV)
+    url = os.environ.get(own, "").strip() or os.environ.get(CHAT_URL_ENV, "").strip()
     if not url:
         return None
     return HttpChatBackend(

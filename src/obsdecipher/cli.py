@@ -293,13 +293,12 @@ def query(graph_path, tool, argument):
 @click.option("--image", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["vlm", "multi_agent"]), default="vlm", show_default=True)
 @click.option("--lang", type=click.Choice(["zh", "en"]), default="zh", show_default=True)
-@click.option("--k", type=int, default=5, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--dump-evidence", is_flag=True)
 @click.option("--mock", is_flag=True, help="Use the offline deterministic backend.")
 @click.option("--character-ref", default=None)
 @domain_errors
-def interpret(graph_path, model_path, image, mode, lang, k, out, dump_evidence, mock, character_ref):
+def interpret(graph_path, model_path, image, mode, lang, out, dump_evidence, mock, character_ref):
     """Interpret a single character image end to end.
 
     This is a one-record ``obs run``: it refuses the character ids that
@@ -312,7 +311,7 @@ def interpret(graph_path, model_path, image, mode, lang, k, out, dump_evidence, 
     provider = provider_from_env()
     model = load_model(model_path, expected_provider=provider.name)
     graph = kg.load_graph(graph_path)
-    config = PipelineConfig(mode=mode, language=lang, top_k=k, mock=mock)
+    config = PipelineConfig(mode=mode, language=lang, mock=mock)
     cid = character_ref or Path(image).stem
     record = dataset.CharacterRecord(character_id=cid, image_ref=str(image))
     with tempfile.TemporaryDirectory() as run_dir:
@@ -340,6 +339,8 @@ def interpret(graph_path, model_path, image, mode, lang, k, out, dump_evidence, 
 @domain_errors
 def evaluate(results_dir, gold, metrics, lang, out, mock):
     """Score interpretation results against gold interpretations."""
+    if out and Path(out).resolve().parent == Path(results_dir).resolve():
+        raise ConfigError(f"--out {out} is in --results {results_dir}: it would be read as a result")
     metric_list = tuple(m.strip() for m in metrics.split(",") if m.strip())
     results = []
     for path in sorted(Path(results_dir).glob("*.json")):

@@ -2,7 +2,7 @@
 
 The image encoder itself is an external backend: this module defines the
 provider contract, a deterministic offline stub used throughout the test
-suite, and an HTTP client for a hosted encoder.
+suite, and a standard-library HTTP client for a hosted encoder.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ import hashlib
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import requests
 
+from ._io import post_json
 from .errors import DimensionMismatchError, EmptyInputError, ProviderUnavailableError
 
 DEFAULT_DIM = 768
@@ -75,19 +76,17 @@ def embed_image(provider: EmbeddingProvider, image: bytes) -> EmbeddingVector:
     """Encode image bytes, enforcing the provider's declared dimension."""
     if not image:
         raise EmptyInputError("image bytes are empty")
-    vec = provider.embed_image(image)
-    if vec.dim != provider.dim:
-        raise DimensionMismatchError(
-            f"provider {provider.name!r} returned {vec.dim} values, expected {provider.dim}"
-        )
-    return vec
+    return _of_declared_dim(provider, provider.embed_image(image))
 
 
 def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:
     """Encode UTF-8 text, enforcing the provider's declared dimension."""
     if not text:
         raise EmptyInputError("text is empty")
-    vec = provider.embed_text(text)
+    return _of_declared_dim(provider, provider.embed_text(text))
+
+
+def _of_declared_dim(provider: EmbeddingProvider, vec: EmbeddingVector) -> EmbeddingVector:
     if vec.dim != provider.dim:
         raise DimensionMismatchError(
             f"provider {provider.name!r} returned {vec.dim} values, expected {provider.dim}"
@@ -134,11 +133,19 @@ class StubEmbeddingProvider(EmbeddingProvider):
         return self._vector(b"text\x00" + text.encode("utf-8"))
 
 
+class _EmbedReply(NamedTuple):
+    dim: int
+    values: tuple[float, ...]
+
+
 class RemoteEmbeddingProvider(EmbeddingProvider):
     """HTTP client for a hosted encoder (e.g. a DINOv2 service).
 
     Protocol: POST ``<base>/embed`` with ``{"kind": "image"|"text", "data":
-    <base64 or utf-8>}``; the service replies ``{"dim": n, "values": [...]}``.
+    <base64 or utf-8>}``; the service replies ``{"dim": n, "values": [...]}``,
+    an ``_EmbedReply`` of finite numbers. Any other reply, a status other
+    than 200 or an unreachable service raises ``ProviderUnavailableError``;
+    a dimension other than the provider's, ``DimensionMismatchError``.
     The client sets no limit of its own on requests in flight: the caller's
     concurrency (``run_pipeline``'s pool) bounds them.
     """
@@ -150,35 +157,15 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         self.name = f"remote:{self._endpoint}"
 
     def _post(self, kind: str, data: str) -> EmbeddingVector:
+        reply = post_json(self._endpoint, {"kind": kind, "data": data}, _EmbedReply,
+                          ProviderUnavailableError, "embedding", _TIMEOUT_S, {})
+        if reply.dim != self.dim or len(reply.values) != self.dim:
+            raise DimensionMismatchError(f"endpoint returned {len(reply.values)} values"
+                                         f" (dim={reply.dim}), expected {self.dim}")
         try:
-            resp = requests.post(
-                self._endpoint,
-                json={"kind": kind, "data": data},
-                timeout=_TIMEOUT_S,
-            )
-        except requests.RequestException as exc:
-            raise ProviderUnavailableError(f"embedding endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise ProviderUnavailableError(
-                f"embedding endpoint returned HTTP {resp.status_code}"
-            )
-        try:
-            body = resp.json()
-            values = body["values"]
-            reported = body["dim"]
-            if type(reported) is not int:
-                raise TypeError(f"dim is {type(reported).__name__}, not int")
-            if not isinstance(values, list):
-                raise TypeError(f"values is a {type(values).__name__}, not a list")
-            # NaN, infinite and non-numeric values raise here too
-            vector = EmbeddingVector(np.asarray(values, dtype=np.float64))
-        except (ValueError, KeyError, TypeError) as exc:
+            return EmbeddingVector(np.array(reply.values, dtype=np.float64))
+        except ValueError as exc:  # a NaN or infinite value
             raise ProviderUnavailableError(f"malformed embedding response: {exc}") from exc
-        if reported != self.dim or vector.dim != self.dim:
-            raise DimensionMismatchError(
-                f"endpoint returned {vector.dim} values (dim={reported}), expected {self.dim}"
-            )
-        return vector
 
     def embed_image(self, image: bytes) -> EmbeddingVector:
         if not image:

@@ -43,13 +43,13 @@ from .retrieval import MAX_ITEMS, MIN_EVIDENCE, TOP_M, SemanticCache, retrieve_e
 
 _NAME_MAX = 255  # bytes in one file name on common Linux and macOS file systems
 EVIDENCE_FILE = "evidence.ldjson"
+TOP_K = 5  # predicted components per character
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: str = "vlm"  # "vlm" | "multi_agent"
     language: str = "zh"
-    top_k: int = 5
     concurrency: int = 1
     mock: bool = False
 
@@ -60,8 +60,6 @@ class PipelineConfig:
             raise ConfigError(f"language must be zh or en, got {self.language!r}")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
-        if self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def interpret_character(
     image = image_path.read_bytes()
 
     query = embed_image(provider, image)
-    predicted = classify_topk(model, query, config.top_k)
+    predicted = classify_topk(model, query, TOP_K)
 
     if config.mode == "vlm":
         evidence = retrieve_evidence(graph, predicted, cache, character_ref=char.character_id)

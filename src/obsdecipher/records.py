@@ -60,13 +60,19 @@ def _exactly(kind: type, name: str):
     return lambda v: v if type(v) is kind else _fail(f"is {type(v).__name__}, not {name}")
 
 
+def _float(v):
+    try:
+        return float(v) if type(v) in (int, float) else _fail(f"is {type(v).__name__}, not float")
+    except OverflowError:
+        _fail("is an integer beyond the range of a float")
+
+
 _SCALARS = {
     str: _exactly(str, "str"),
     int: _exactly(int, "int"),
     bool: _exactly(bool, "bool"),
     dict: _exactly(dict, "an object"),
-    float: lambda v: float(v) if type(v) in (int, float) else _fail(
-        f"is {type(v).__name__}, not float"),
+    float: _float,
 }
 
 
@@ -195,7 +201,6 @@ def decode(cls, doc: object, where: str):
         return _decode(cls, doc)
     except _Wrong as exc:
         raise _error(exc, where) from None
-
 
 
 def encode(record, head: dict) -> dict:

@@ -1,5 +1,9 @@
+import contextlib
 import json
 import random
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +61,75 @@ class ScriptedChatBackend(ChatBackend):
             content=content,
             usage=TokenUsage(prompt=_request_tokens(request), completion=_approx_tokens(content)),
         )
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    """An HTTP server on a free loopback port, standing in for a hosted model.
+
+    It records each POST in ``posts`` as ``(path, headers, JSON body)`` and
+    answers it with ``answer(path, body)``, a ``(status, reply)`` pair whose
+    reply is a JSON value, sent dumped, or bytes, sent as they are. Each
+    request runs on a daemon thread of its own.
+    """
+
+    daemon_threads = True
+    request_queue_size = 16  # a concurrency-8 run holds 8 chat and 8 encoder posts at once
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.url = f"http://127.0.0.1:{self.server_port}"
+        self.posts = []
+        self.reply({})
+
+    def reply(self, reply, status=200):
+        """Answer every POST with ``reply`` and ``status``."""
+        self.answer = lambda path, body: (status, reply)
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.posts.append((self.path, self.headers, body))
+        status, reply = self.server.answer(self.path, body)
+        raw = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@contextlib.contextmanager
+def serving():
+    """A running ``LoopbackServer``; on exit it stops and closes its socket,
+    so no later client waits on a port that listens with no one serving."""
+    server = LoopbackServer()
+    # a short poll keeps shutdown, which waits for one, from costing each test 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.fixture
+def loopback():
+    with serving() as server:
+        yield server
+
+
+def closed_port_url():
+    """An http URL on a loopback port that was bound and then closed, so a
+    connection to it is refused at once."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 def cosine_similarity(a, b):

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import socket
 import time
 from pathlib import Path
 
@@ -17,9 +18,8 @@ import pytest
 from click.testing import CliRunner
 from scipy.optimize import linear_sum_assignment
 
-import obsdecipher.backends as backends_mod
-import obsdecipher.embedding as embedding_mod
 from obsdecipher.agreement import RatingMatrix, icc3, krippendorff_alpha
+from obsdecipher.backends import HttpChatBackend
 from obsdecipher.classifier import RankedPrediction, build_prototypes, classify_topk, evaluate_topk
 from obsdecipher.cli import main
 from obsdecipher.dataset import read_manifest, split_corpus
@@ -43,6 +43,7 @@ from conftest import (
     canonical_json,
     fixture_explanations,
     make_run_fixture,
+    serving,
     structurally_equal,
     train_and_build_kg,
 )
@@ -280,7 +281,7 @@ def test_criterion_6_agreement_statistics():
     ok("criterion 6", f"ICC3 worst err {worst:.1e}, alpha oracle + null hold")
 
 
-def test_criterion_7_judge_conformance(monkeypatch):
+def test_criterion_7_judge_conformance():
     system = load_template("judge_system").body
     user = load_template("judge_user").body
     assert "You are a rigorous semantic assessment expert" in system
@@ -293,19 +294,12 @@ def test_criterion_7_judge_conformance(monkeypatch):
         with pytest.raises(UnparseableResponseError):
             parse_model_response(bad, "judge_score")
 
-    class Reply:
-        status_code = 200
-
-        def json(self):
-            return {"content": "Score: 0.92"}
-
-    sent = []
-    monkeypatch.setattr(
-        backends_mod.requests, "post", lambda url, json, headers, timeout: sent.append(json) or Reply()
-    )
-    hosted = backends_mod.HttpChatBackend("http://judge:8000")
-    assert llm_judge(hosted, "candidate text", "reference text") == 0.92
-    assert sent[0]["temperature"] == 0.0
+    with serving() as judge:
+        judge.reply({"content": "Score: 0.92"})
+        hosted = HttpChatBackend(judge.url)
+        assert llm_judge(hosted, "candidate text", "reference text") == 0.92
+    ((_, _, sent),) = judge.posts
+    assert sent["temperature"] == 0.0
     ok("criterion 7", "rubric verbatim, rounding + range checks, temperature 0")
 
 
@@ -313,8 +307,9 @@ def test_criterion_8_end_to_end_offline_run(tmp_path, monkeypatch):
     def no_network(*args, **kwargs):
         raise AssertionError("network access attempted during --mock run")
 
-    monkeypatch.setattr(backends_mod.requests, "post", no_network)
-    monkeypatch.setattr(embedding_mod.requests, "post", no_network)
+    # every client connects through one of these, whatever library it uses
+    monkeypatch.setattr(socket.socket, "connect", no_network)
+    monkeypatch.setattr(socket, "create_connection", no_network)
     for var in ("OBS_EMBED_URL", "OBS_CHAT_URL"):
         monkeypatch.delenv(var, raising=False)
 

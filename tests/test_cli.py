@@ -268,8 +268,13 @@ def _missing_dir_command(runner, command, tmp_path, missing):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy.optimize alone about doubles the start-up time of every command
-    code = "import sys, obsdecipher.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # scipy.optimize alone about doubles the start-up time of every command,
+    # and an HTTP client adds a tenth to a third; the hosted clients import
+    # the stdlib one when they post
+    code = (
+        "import sys, obsdecipher.cli; print(sorted(m for m in sys.modules if m.startswith("
+        "('scipy', 'requests', 'urllib3', 'http.client', 'urllib.request'))))"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
@@ -604,6 +609,25 @@ class TestEvaluateCommand:
             "character_ref": "ghost",
             "error": "AlignmentError: no gold record for character 'ghost'",
         }]
+
+    @pytest.mark.parametrize("spelling", ["results/report.json", "other/../results/report.json"])
+    def test_a_report_in_the_results_directory_is_refused(self, runner, tmp_path, spelling):
+        # the next evaluate of the directory would read the report as a result
+        _, manifest, _ = make_run_fixture(tmp_path, n_characters=2)
+        results = tmp_path / "results"
+        results.mkdir()
+        (tmp_path / "other").mkdir()
+        for ref in ("char0000", "char0001"):
+            doc = {"character_ref": ref, "interpretation": "字", "mode": "vlm"}
+            (results / f"{ref}.json").write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(results.iterdir())
+        args = ["evaluate", "--results", str(results), "--gold", str(manifest), "--metrics", "rouge1"]
+        refused = runner.invoke(main, [*args, "--out", f"{tmp_path}{os.sep}{spelling}"])
+        assert refused.exit_code == 1
+        assert "ConfigError: --out" in refused.output
+        assert isinstance(refused.exception, SystemExit)
+        assert sorted(results.iterdir()) == before
+        assert runner.invoke(main, args).exit_code == 0
 
     @pytest.mark.parametrize(
         "field,value",

@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-import obsdecipher.embedding as emb
 from obsdecipher.embedding import (
     EmbeddingVector,
     RemoteEmbeddingProvider,
@@ -20,7 +19,7 @@ from obsdecipher.errors import (
     ZeroNormError,
 )
 
-from conftest import cosine_similarity
+from conftest import closed_port_url, cosine_similarity
 
 
 def vec(*values):
@@ -123,77 +122,63 @@ class TestVectorOps:
             assert abs(scaled - cosine_similarity(a, b)) <= 1e-9
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, body=None):
-        self.status_code = status_code
-        self._body = body or {}
-
-    def json(self):
-        return self._body
-
-
 class TestRemoteProvider:
-    def test_good_response(self, monkeypatch):
-        def fake_post(url, json=None, timeout=None):
-            assert url.endswith("/embed")
-            assert json["kind"] == "text"
-            return _FakeResponse(body={"dim": 4, "values": [1.0, 0.0, 0.0, 0.0]})
-
-        monkeypatch.setattr(emb.requests, "post", fake_post)
-        provider = RemoteEmbeddingProvider("http://host:9000", dim=4)
+    def test_good_response(self, loopback):
+        loopback.reply({"dim": 4, "values": [1.0, 0.0, 0.0, 0.0]})
+        provider = RemoteEmbeddingProvider(loopback.url, dim=4)
         v = embed_text(provider, "hi")
         assert v.values.tolist() == [1.0, 0.0, 0.0, 0.0]
+        ((path, headers, body),) = loopback.posts
+        assert path == "/embed"
+        assert body == {"kind": "text", "data": "hi"}
+        assert headers["Content-Type"] == "application/json"
+        assert "Authorization" not in headers
 
-    def test_wrong_length_is_dimension_mismatch(self, monkeypatch):
-        monkeypatch.setattr(
-            emb.requests,
-            "post",
-            lambda *a, **k: _FakeResponse(body={"dim": 512, "values": [0.0] * 512}),
-        )
-        provider = RemoteEmbeddingProvider("http://host:9000/embed", dim=768)
+    def test_wrong_length_is_dimension_mismatch(self, loopback):
+        loopback.reply({"dim": 512, "values": [0.0] * 512})
+        provider = RemoteEmbeddingProvider(f"{loopback.url}/embed", dim=768)
         with pytest.raises(DimensionMismatchError):
             embed_image(provider, b"img")
+        ((path, _, body),) = loopback.posts
+        assert path == "/embed"
+        assert body == {"kind": "image", "data": "aW1n"}
 
-    def test_transport_error(self, monkeypatch):
-        def boom(*a, **k):
-            raise emb.requests.ConnectionError("refused")
-
-        monkeypatch.setattr(emb.requests, "post", boom)
-        provider = RemoteEmbeddingProvider("http://host:9000", dim=8)
-        with pytest.raises(ProviderUnavailableError):
+    def test_transport_error(self):
+        provider = RemoteEmbeddingProvider(closed_port_url(), dim=8)
+        with pytest.raises(ProviderUnavailableError, match="unreachable"):
             embed_text(provider, "hi")
 
     @pytest.mark.parametrize(
         "values",
         [
             [1.0, float("nan"), 0.0, 0.0],
+            [1.0, float("inf"), 0.0, 0.0],
             [1.0, "x", 0.0, 0.0],
+            [1.0, "1.5", 0.0, 0.0],
+            [1.0, True, 0.0, 0.0],
+            [1.0, 10**309, 0.0, 0.0],
             {"0": 1.0, "1": 0.0, "2": 0.0, "3": 0.0},
         ],
-        ids=["nan", "non_numeric", "not_a_list"],
+        ids=["nan", "infinite", "non_numeric", "string_value", "bool_value", "beyond_float",
+             "not_a_list"],
     )
-    def test_malformed_values_are_provider_errors(self, monkeypatch, values):
-        monkeypatch.setattr(
-            emb.requests, "post", lambda *a, **k: _FakeResponse(body={"dim": 4, "values": values})
-        )
-        provider = RemoteEmbeddingProvider("http://host:9000", dim=4)
+    def test_malformed_values_are_provider_errors(self, loopback, values):
+        loopback.reply({"dim": 4, "values": values})
+        provider = RemoteEmbeddingProvider(loopback.url, dim=4)
         with pytest.raises(ProviderUnavailableError, match="malformed embedding response"):
             embed_text(provider, "hi")
 
     @pytest.mark.parametrize("dim", ["4", 4.9, True], ids=["string", "float", "bool"])
-    def test_dim_must_be_a_json_integer(self, monkeypatch, dim):
-        monkeypatch.setattr(
-            emb.requests, "post",
-            lambda *a, **k: _FakeResponse(body={"dim": dim, "values": [1.0, 0.0, 0.0, 0.0]}),
-        )
-        provider = RemoteEmbeddingProvider("http://host:9000", dim=4)
+    def test_dim_must_be_a_json_integer(self, loopback, dim):
+        loopback.reply({"dim": dim, "values": [1.0, 0.0, 0.0, 0.0]})
+        provider = RemoteEmbeddingProvider(loopback.url, dim=4)
         with pytest.raises(ProviderUnavailableError, match="malformed embedding response"):
             embed_text(provider, "hi")
 
-    def test_http_error_status(self, monkeypatch):
-        monkeypatch.setattr(emb.requests, "post", lambda *a, **k: _FakeResponse(status_code=500))
-        provider = RemoteEmbeddingProvider("http://host:9000", dim=8)
-        with pytest.raises(ProviderUnavailableError):
+    def test_http_error_status(self, loopback):
+        loopback.reply({}, status=500)
+        provider = RemoteEmbeddingProvider(loopback.url, dim=8)
+        with pytest.raises(ProviderUnavailableError, match="returned HTTP 500"):
             embed_text(provider, "hi")
 
 

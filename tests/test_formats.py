@@ -1,7 +1,8 @@
 """The files ``obs`` reads and writes, held at the byte level.
 
 The referee feeds each command a valid input file with one thing broken in
-it and requires a typed exit; the digest golden pins every byte the
+it and requires a typed exit, and each hosted client a broken reply and
+requires a typed error; the digest golden pins every byte the
 commands write for a fixed fixture.
 """
 
@@ -16,9 +17,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from obsdecipher.backends import ChatMessage, ChatRequest, HttpChatBackend
 from obsdecipher.cli import main
+from obsdecipher.embedding import RemoteEmbeddingProvider
+from obsdecipher.errors import ObsError
 
-from conftest import make_run_fixture, train_and_build_kg, write_annotation
+from conftest import make_run_fixture, serving, train_and_build_kg, write_annotation
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -192,6 +196,34 @@ def test_a_damaged_file_ends_in_a_typed_exit(valid, format_name, command, data):
         result.exception)
 
 
+@pytest.fixture(scope="module")
+def hosted():
+    with serving() as server:
+        yield server
+
+
+HOSTED_REPLIES = {
+    "chat": {"content": "TYPE: pictographic", "usage": {"prompt_tokens": 12, "completion_tokens": 5}},
+    "encoder": {"dim": 4, "values": [0.5, -0.25, 1.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("client", sorted(HOSTED_REPLIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_damaged_hosted_reply_ends_in_a_typed_error(hosted, client, data):
+    """Each hosted client returns or raises an ``ObsError``, whatever the reply."""
+    raw = json.dumps(HOSTED_REPLIES[client]).encode("utf-8")
+    hosted.reply(data.draw(damaged(raw, "json"), label="reply"))
+    try:
+        if client == "chat":
+            HttpChatBackend(hosted.url).complete(ChatRequest((ChatMessage("user", "hi"),)))
+        else:
+            RemoteEmbeddingProvider(hosted.url, dim=4).embed_text("hi")
+    except ObsError:
+        pass
+
+
 # --- the bytes every command writes -------------------------------------------
 
 def _written_files(root):
@@ -266,3 +298,9 @@ def test_a_value_of_the_wrong_json_type_is_refused(valid, tmp_path, file, field,
     assert f"MalformedInputError: {path}" in result.output
     assert f"'{field}" in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+def test_an_integer_beyond_the_range_of_a_float_is_refused(valid, tmp_path):
+    # float() raises OverflowError on it, which no reader caught
+    test_a_value_of_the_wrong_json_type_is_refused(
+        valid, tmp_path, "manifest", "polygon", [[10**309, 0], [3, 4], [5, 6]])

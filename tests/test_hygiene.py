@@ -1,6 +1,8 @@
 """Static checks over the package sources (stdlib ``ast`` only)."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,7 +186,7 @@ def test_private_read_checker_exempts_only_self_and_cls():
     assert _foreign_private_reads(tree) == ["model._c (line 3)", "f()._d (line 6)"]
 
 
-SETTABLE_VALUES_CAP = 116
+SETTABLE_VALUES_CAP = 114
 
 
 def _settable_values(tree: ast.Module) -> tuple[int, int, int]:
@@ -225,3 +227,48 @@ def test_settable_value_counter_counts_each_kind():
         "class Plain:\n    s: int = 0\n"
     )
     assert _settable_values(tree) == (2, 3, 2)
+
+
+def _third_party_imports(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules ``tree`` imports, leaving out the
+    standard library, relative imports and the package itself."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "obsdecipher"}
+
+
+def _declared_dependencies(pyproject: str) -> set[str]:
+    """The distribution names in ``[project].dependencies``, read without
+    ``tomllib``, which Python 3.10 lacks."""
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in re.findall(r'"([^"]+)"', listed)}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    """A package the sources import is declared, and a declared one is
+    imported: an undeclared import fails on a clean install, and a declared
+    package nothing imports is installed for nothing."""
+    imported = set().union(
+        *(_third_party_imports(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES))
+    declared = _declared_dependencies((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert imported == declared
+
+
+def test_dependency_readers_see_each_kind():
+    tree = ast.parse(
+        "import os, numpy.linalg\nfrom scipy import optimize\nfrom . import records\n"
+        "from obsdecipher.x import y\nfrom __future__ import annotations\n"
+        "def f():\n    import http.client\n    import click\n"
+    )
+    assert _third_party_imports(tree) == {"numpy", "scipy", "click"}
+    pyproject = (
+        '[build-system]\nrequires = ["setuptools>=68"]\n\n[project]\nname = "x"\n'
+        'dependencies = [\n    "numpy>=1.24",\n    "click",\n]\n\n'
+        '[project.optional-dependencies]\ntest = [\n    "pytest>=7",\n]\n'
+    )
+    assert _declared_dependencies(pyproject) == {"numpy", "click"}
