@@ -54,7 +54,9 @@ def post_json(url: str, body: dict, reply: type, error: type, what: str, timeout
     import urllib.request
 
     try:
-        request = urllib.request.Request(url, json.dumps(body).encode("utf-8"), {
+        # UTF-8, not \uXXXX escapes: a zh prompt is about half the bytes
+        data = json.dumps(body, ensure_ascii=False).encode("utf-8")
+        request = urllib.request.Request(url, data, {
             "Content-Type": "application/json", **headers}, method="POST")
         with urllib.request.urlopen(request, timeout=timeout) as resp:
             status, raw = resp.status, resp.read()

@@ -13,9 +13,9 @@ cache so repeated or near-duplicate queries in a workload are served
 without touching the graph.
 
 A bundle records facts only: the predicted components, the executed plan
-(``trace``, one ``ToolCall`` per stage-1 call, whether the
-cache or the graph answered it), the ranked items and whether they reach
-``MIN_EVIDENCE``. An item's origin follows from its kind: explanations and
+(``trace``, one ``ToolCall`` of tool and argument per stage-1 call; it does
+not say whether the cache or the graph answered, since the items are the
+same either way), the ranked items and whether they reach ``MIN_EVIDENCE``. An item's origin follows from its kind: explanations and
 containing characters come from the two tools, variants and modern
 mappings from internal lookups. Nothing in it depends on thread timing.
 """

@@ -1,6 +1,7 @@
 """The hosted clients: chat wire protocol, reply validation, and in-flight limits."""
 
 import base64
+import json
 import threading
 
 import pytest
@@ -95,6 +96,17 @@ class TestHttpChatBackend:
         assert "Authorization" not in without
         assert with_key["Authorization"] == "Bearer sk-1"
         assert without["Content-Type"] == with_key["Content-Type"] == "application/json"
+
+    def test_a_zh_body_is_sent_as_utf8(self, loopback):
+        # escaped, each of these characters would take six bytes, not three
+        prompt = "从手从屋会意，象手持戈守于门下之形。" * 20
+        loopback.reply(_reply())
+        HttpChatBackend(loopback.url).complete(_request(ChatMessage(role="user", content=prompt)))
+        ((_, headers, body),) = loopback.posts
+        assert body["messages"][0]["content"] == prompt
+        length = int(headers["Content-Length"])
+        assert length == len(json.dumps(body, ensure_ascii=False).encode("utf-8"))
+        assert length < len(json.dumps(body).encode("utf-8")) * 0.6
 
     def test_usage_is_mapped(self, loopback):
         loopback.reply(_reply("TYPE: pictographic", {"prompt_tokens": 12, "completion_tokens": 5}))

@@ -281,6 +281,27 @@ def test_importing_the_cli_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_evaluate_scores_mover_without_scipy(runner, tmp_path):
+    # scipy is a test extra only: with it unimportable, MoverScore still runs
+    _, manifest, explanations = make_run_fixture(tmp_path, n_characters=4)
+    model, graph = train_and_build_kg(manifest, explanations)
+    results, report = tmp_path / "results", tmp_path / "report.json"
+    invoke(runner, "run", "--manifest", str(manifest), "--out-dir", str(results),
+           "--model", str(model), "--graph", str(graph), "--mock", "--image-root", str(tmp_path))
+    args = ["evaluate", "--results", str(results), "--gold", str(manifest),
+            "--metrics", "rouge1,mover", "--mock", "--out", str(report)]
+    code = (
+        "import sys; sys.modules['scipy'] = None; from obsdecipher.cli import main; "
+        f"main({args!r}, prog_name='obs')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["metadata"]["items"] == 4
+    assert set(doc["aggregate"]) >= {"rouge1", "mover"}
+
+
 @pytest.mark.parametrize("command", ["split", "eval-topk", "evaluate"])
 def test_output_in_missing_directory_is_domain_error(runner, tmp_path, command):
     missing = tmp_path / "nodir"

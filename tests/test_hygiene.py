@@ -241,22 +241,34 @@ def _third_party_imports(tree: ast.Module) -> set[str]:
     return names - set(sys.stdlib_module_names) - {"__future__", "obsdecipher"}
 
 
-def _declared_dependencies(pyproject: str) -> set[str]:
-    """The distribution names in ``[project].dependencies``, read without
-    ``tomllib``, which Python 3.10 lacks."""
-    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
-    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S).group(1)
-    return {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in re.findall(r'"([^"]+)"', listed)}
+def _declared_dependencies(pyproject: str) -> tuple[set[str], set[str]]:
+    """The distribution names in ``[project].dependencies`` and in the
+    ``test`` extra, read without ``tomllib``, which Python 3.10 lacks."""
+
+    def listed(table: str, key: str) -> set[str]:
+        section = rf"^\[{re.escape(table)}\]$(.*?)(?=^\[|\Z)"
+        body = re.search(section, pyproject, re.M | re.S).group(1)
+        items = re.search(rf"^{key} = \[(.*?)\]", body, re.M | re.S).group(1)
+        specs = re.findall(r'"([^"]+)"', items)
+        return {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in specs}
+
+    return listed("project", "dependencies"), listed("project.optional-dependencies", "test")
 
 
 def test_declared_dependencies_are_the_imported_ones():
     """A package the sources import is declared, and a declared one is
     imported: an undeclared import fails on a clean install, and a declared
-    package nothing imports is installed for nothing."""
-    imported = set().union(
-        *(_third_party_imports(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES))
-    declared = _declared_dependencies((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
-    assert imported == declared
+    package nothing imports is installed for nothing. The same holds for the
+    tests: what they import beyond the runtime dependencies is the ``test``
+    extra."""
+    def imports(paths):
+        trees = (ast.parse(path.read_text(encoding="utf-8")) for path in paths)
+        return set().union(*map(_third_party_imports, trees))
+
+    runtime, test_extra = _declared_dependencies((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert imports(SOURCES) == runtime
+    # conftest and the test modules import one another
+    assert imports(TESTS) - {path.stem for path in TESTS} - runtime == test_extra
 
 
 def test_dependency_readers_see_each_kind():
@@ -271,4 +283,4 @@ def test_dependency_readers_see_each_kind():
         'dependencies = [\n    "numpy>=1.24",\n    "click",\n]\n\n'
         '[project.optional-dependencies]\ntest = [\n    "pytest>=7",\n]\n'
     )
-    assert _declared_dependencies(pyproject) == {"numpy", "click"}
+    assert _declared_dependencies(pyproject) == ({"numpy", "click"}, {"pytest"})

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
+import obsdecipher.metrics as metrics_mod
 from obsdecipher.embedding import (
     EmbeddingProvider,
     EmbeddingVector,
@@ -21,6 +22,8 @@ from obsdecipher.errors import (
 )
 from obsdecipher.metrics import (
     TokenSequence,
+    _entering_cell,
+    _exact_transport_cost,
     embedding_f1,
     llm_judge,
     mover_score,
@@ -158,6 +161,113 @@ class TestMoverScore:
     def test_empty_rejected(self, provider):
         with pytest.raises(EmptyInputError):
             mover_score(toks("a"), toks(), provider)
+
+
+def linprog_transport_cost(cost, supply, demand):
+    """The transport cost as HiGHS finds it through ``scipy.optimize.linprog``,
+    on the probability masses the solver's integer masses stand for."""
+    n, m = cost.shape
+    a_eq = np.zeros((n + m - 1, n * m))  # the last column's constraint is implied
+    for i in range(n):
+        a_eq[i, i * m : (i + 1) * m] = 1.0
+    for j in range(m - 1):
+        a_eq[n + j, j::m] = 1.0
+    b_eq = np.array([*supply, *demand[:-1]], dtype=np.float64) / sum(supply)
+    result = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert result.success, result.message
+    return result.fun
+
+
+@st.composite
+def transport_problems(draw):
+    """Costs between unit vectors and integer masses as ``mover_score`` builds
+    them: one row per candidate token, one column per reference token."""
+    size = st.integers(2, 12)
+    n, m = draw(st.one_of(
+        st.tuples(st.just(1), size), st.tuples(size, st.just(1)), st.just((64, 64)),
+        st.tuples(size, size),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # few dimensions make near and exact cost ties likely
+    rows = rng.standard_normal((n, draw(st.integers(2, 8))))
+    cols = rng.standard_normal((m, rows.shape[1]))
+    shared = draw(st.integers(0, min(n, m)))  # tokens on both sides: cost 0
+    cols[:shared] = rows[rng.permutation(n)[:shared]]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+    cost = np.linalg.norm(rows[:, None, :] - cols[None, :, :], axis=2)
+    ties = draw(st.sampled_from(["none", "rounded", "all equal"]))
+    if ties == "rounded":
+        cost = np.round(cost, 1)
+    elif ties == "all equal":
+        cost = np.full((n, m), np.sqrt(2.0))
+    if draw(st.booleans()):  # every token once: equal masses on each side
+        cand, ref = [1] * n, [1] * m
+    else:
+        cand = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        ref = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    return cost, [c * sum(ref) for c in cand], [r * sum(cand) for r in ref]
+
+
+class TestExactTransport:
+    @given(problem=transport_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_linprog(self, problem):
+        cost, supply, demand = problem
+        got = _exact_transport_cost(cost, supply, demand)
+        assert abs(got - linprog_transport_cost(cost, supply, demand)) <= 1e-12
+
+    @given(
+        cand=st.lists(st.sampled_from("甲乙丙丁戊己"), min_size=1, max_size=20),
+        ref=st.lists(st.sampled_from("甲乙丙丁戊己庚辛"), min_size=1, max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mover_score_matches_linprog_on_shared_tokens(self, provider, cand, ref):
+        got = mover_score(toks(*cand), toks(*ref), provider)
+        cand_vocab, ref_vocab = sorted(set(cand)), sorted(set(ref))
+        a = np.stack([embed_text(provider, t).values for t in cand_vocab])
+        b = np.stack([embed_text(provider, t).values for t in ref_vocab])
+        a = a / np.linalg.norm(a, axis=1, keepdims=True)
+        b = b / np.linalg.norm(b, axis=1, keepdims=True)
+        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        supply = [cand.count(t) * len(ref) for t in cand_vocab]
+        demand = [ref.count(t) * len(cand) for t in ref_vocab]
+        assert abs(got - (1.0 - linprog_transport_cost(cost, supply, demand))) <= 1e-12
+
+    def test_one_cell(self):
+        assert _exact_transport_cost(np.array([[0.25]]), [3], [3]) == 0.25
+
+    def test_a_degenerate_assignment_ends_at_the_optimum(self):
+        # every mass is 1, so the greedy start holds 4 zero flows; 6 of the
+        # 7 pivots move no flow, the last 5 in a row
+        cost = np.array([
+            [3, 3, 1, 0, 3],
+            [1, 2, 3, 0, 2],
+            [3, 0, 0, 0, 1],
+            [1, 1, 3, 1, 3],
+            [3, 0, 3, 0, 3],
+        ], dtype=np.float64)
+        rows, cols = linear_sum_assignment(cost)
+        assert _exact_transport_cost(cost, [1] * 5, [1] * 5) == cost[rows, cols].sum() / 5
+
+    def test_entering_rules(self):
+        reduced = np.array([[0.0, -1.0], [-3.0, -2e-12]])
+        assert _entering_cell(reduced, bland=False) == 2  # the least reduced cost
+        assert _entering_cell(reduced, bland=True) == 1  # the lowest index below -_TOL
+        for bland in (False, True):
+            assert _entering_cell(np.array([[0.0, -1e-13], [2.0, 0.0]]), bland) is None
+
+    @given(problem=transport_problems())
+    @settings(max_examples=50, deadline=None)
+    def test_blands_rule_alone_ends_at_the_optimum(self, problem):
+        # no instance is known on which Dantzig's pivots here repeat a basis,
+        # so the branch that switches to Bland's rule is forced from the start
+        cost, supply, demand = problem
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics_mod, "_entering_cell",
+                          lambda reduced, bland: _entering_cell(reduced, True))
+            got = _exact_transport_cost(cost, supply, demand)
+        assert abs(got - linprog_transport_cost(cost, supply, demand)) <= 1e-12
 
 
 class TableProvider(EmbeddingProvider):
