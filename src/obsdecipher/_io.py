@@ -3,7 +3,6 @@ the one JSON POST every hosted-model client makes."""
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 from pathlib import Path
@@ -55,7 +54,7 @@ def post_json(url: str, body: dict, reply: type, error: type, what: str, timeout
 
     try:
         # UTF-8, not \uXXXX escapes: a zh prompt is about half the bytes
-        data = json.dumps(body, ensure_ascii=False).encode("utf-8")
+        data = records.dumps(body, ascii=False, indent=None).encode("utf-8")
         request = urllib.request.Request(url, data, {
             "Content-Type": "application/json", **headers}, method="POST")
         with urllib.request.urlopen(request, timeout=timeout) as resp:

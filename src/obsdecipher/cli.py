@@ -8,7 +8,6 @@ atomically.
 from __future__ import annotations
 
 import functools
-import json
 import tempfile
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .report import EvalConfig, evaluate_run
 
 
 def _emit(doc: dict) -> None:
-    click.echo(json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
+    click.echo(records.dumps(doc, ascii=False, indent=2))
 
 
 def _read_json_object(path: str | Path) -> dict:

@@ -12,7 +12,6 @@ rule of :mod:`.records`.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -267,15 +266,15 @@ class _Meta(NamedTuple):
 
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     """LDJSON dump: meta line, nodes, edges, then a sha256 checksum line."""
-    # the meta line alone keeps json's ASCII escaping: see records
-    lines = [json.dumps(records.encode(_Meta(graph.source_split), {"t": "meta"}), sort_keys=True)]
+    lines = [records.dumps(records.encode(_Meta(graph.source_split), {"t": "meta"}),
+                           ascii=True, indent=None)]
     lines.extend(records.line(graph.nodes[nid], {"t": "node"}) for nid in sorted(graph.nodes))
     lines.extend(
         records.line(e, {"t": "edge"})
         for e in sorted(graph.edges, key=lambda e: (e.relation.value, e.src, e.dst))
     )
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    lines.append(json.dumps({"t": "checksum", "sha256": digest}, sort_keys=True))
+    lines.append(records.dumps({"t": "checksum", "sha256": digest}, ascii=False, indent=None))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -288,10 +287,10 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
     if not lines:
         raise CorruptFileError("graph file is empty")
     try:
-        last = json.loads(lines[-1])
-    except ValueError as exc:
-        raise CorruptFileError(f"graph file checksum line unreadable: {exc}") from exc
-    if not isinstance(last, dict) or last.get("t") != "checksum":
+        last = records.parse(lines[-1], "its last line")
+    except MalformedInputError as exc:
+        raise CorruptFileError(f"graph file has no trailing checksum line: {exc}") from exc
+    if last.get("t") != "checksum":
         raise CorruptFileError("graph file has no trailing checksum line")
     body = lines[:-1]
     if hashlib.sha256(b"\n".join(body)).hexdigest() != last.get("sha256"):

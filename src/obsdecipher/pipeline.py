@@ -18,7 +18,6 @@ similarity hit.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -176,11 +175,12 @@ def run_pipeline(
     root = Path(image_root) if image_root is not None else None
 
     def attempt(record: CharacterRecord):
-        """(result, evidence bundle) on success, a RunFailure on failure."""
+        """(result, evidence line) on success, a RunFailure on failure, as
+        when the bundle holds a number JSON cannot."""
         try:
-            return interpret_character(
-                record, root, provider, model, graph, cache, backends, config
-            )
+            result, bundle = interpret_character(record, root, provider, model, graph, cache,
+                                                 backends, config)
+            return result, bundle.to_line()
         except Exception as exc:
             return RunFailure(record.character_id, f"{type(exc).__name__}: {exc}")
 
@@ -203,7 +203,7 @@ def run_pipeline(
         out.mkdir(parents=True, exist_ok=True)
         for result, doc in zip(results, docs):
             write_json(out / f"{result.character_ref}.json", doc)
-        atomic_write_text(out / EVIDENCE_FILE, "".join(b.to_line() + "\n" for _, b in pairs))
+        atomic_write_text(out / EVIDENCE_FILE, "".join(line + "\n" for _, line in pairs))
         write_json(out / "run_manifest.json", manifest)
     return results, failures, manifest
 
@@ -232,7 +232,7 @@ def _fits_a_name(cid: str) -> bool:
 
 def write_json(path: str | Path, doc: dict) -> None:
     """Atomically write ``doc`` as sorted, indented UTF-8 JSON."""
-    atomic_write_text(path, json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
+    atomic_write_text(path, records.dumps(doc, ascii=False, indent=2))
 
 
 def _sha256_text(text: str) -> str:
@@ -240,13 +240,11 @@ def _sha256_text(text: str) -> str:
 
 
 def _model_fingerprint(model: ClassifierModel) -> str:
-    """sha256 of the model as sorted-key JSON with the matrix bytes in hex.
-
-    The hex is fed to the digest row by row rather than built as one string.
-    """
-    head, _, tail = json.dumps(
+    """sha256 of the model as sorted-key ASCII JSON with the matrix bytes in
+    hex, fed to the digest row by row rather than built as one string."""
+    head, _, tail = records.dumps(
         {"dim": model.dim, "provider": model.provider_name, "labels": model.labels, "matrix": ""},
-        sort_keys=True,
+        ascii=True, indent=None,
     ).partition('"matrix": ""')
     digest = hashlib.sha256(f'{head}"matrix": "'.encode("ascii"))
     for row in model.matrix:
@@ -266,16 +264,16 @@ def _run_manifest(
     config: PipelineConfig,
 ) -> dict:
     result_hashes = [
-        _sha256_text(json.dumps(doc, ensure_ascii=False, sort_keys=True)) for doc in docs
+        _sha256_text(records.dumps(doc, ascii=False, indent=None)) for doc in docs
     ]
     graph_fingerprint = _sha256_text(
-        json.dumps(
+        records.dumps(
             {
                 "nodes": sorted(graph.nodes),
                 "edges": sorted((e.src, e.dst, e.relation.value) for e in graph.edges),
                 "source_split": graph.source_split,
             },
-            sort_keys=True,
+            ascii=True, indent=None,
         )
     )
     body = {
@@ -299,5 +297,5 @@ def _run_manifest(
         "result_count": len(results),
         "failure_count": len(failures),
     }
-    body["manifest_hash"] = _sha256_text(json.dumps(body, ensure_ascii=False, sort_keys=True))
+    body["manifest_hash"] = _sha256_text(records.dumps(body, ascii=False, indent=None))
     return body

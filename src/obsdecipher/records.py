@@ -1,13 +1,17 @@
-"""The one wire rule of every persisted JSON record.
+"""The one JSON text rule, and the wire rule of every persisted record.
+
+Every JSON text goes through :func:`dumps` or :func:`parse`: keys sorted,
+no ``NaN`` or infinity, and UTF-8 unescaped but in the model and graph
+fingerprints and the graph file's meta line, pinned in ASCII escapes.
 
 A record, a frozen dataclass or a NamedTuple, is a JSON object with one key
-per field, named as the field; writers sort the keys and leave UTF-8
-unescaped. Each field type has one JSON form, and a value of another JSON
-type is refused, never coerced: ``str``, ``int`` and ``bool`` take a string,
-an integer and a boolean (``"7"`` and ``true`` are no integer); ``float``
-any number but a boolean; ``X | None`` null or an ``X``; ``tuple[X, ...]`` a
-list of ``X``; ``tuple[X, Y]`` a list of an ``X`` and a ``Y``; a string
-``Enum`` its value; a record an object; ``dict`` any object, as it is.
+per field, named as the field. Each field type has one JSON form, and a
+value of another JSON type is refused, never coerced: ``str``, ``int`` and
+``bool`` take a string, an integer and a boolean (``"7"`` and ``true`` are
+no integer); ``float`` any number but a boolean; ``X | None`` null or an
+``X``; ``tuple[X, ...]`` a list of ``X``; ``tuple[X, Y]`` a list of an ``X``
+and a ``Y``; a string ``Enum`` its value; a record an object; ``dict`` any
+object, as it is.
 
 ``Annotated[T, "key"]`` stores a field under another key,
 ``Annotated[T, Absent(v)]`` reads its missing key as ``v`` and
@@ -18,11 +22,6 @@ keys of older versions load. Keys no field holds (a kind tag, a
 ``schema_version``, a derived total) are the ``head`` a writer passes to
 :func:`encode`. A decode error is a ``MalformedInputError`` naming the place
 the caller gives (file and line), the field and the fault.
-
-One line keeps another form: the graph file's ``meta`` line is dumped with
-ASCII escaping, as every graph file has it. The file's checksum covers its
-bytes, so dumping it like the others would change every graph whose source
-split names a non-ASCII path.
 """
 
 from __future__ import annotations
@@ -62,7 +61,8 @@ def _exactly(kind: type, name: str):
 
 def _float(v):
     try:
-        return float(v) if type(v) in (int, float) else _fail(f"is {type(v).__name__}, not float")
+        f = float(v) if type(v) in (int, float) else _fail(f"is {type(v).__name__}, not float")
+        return f if f - f == 0 else _fail("is beyond the range of a float")  # inf - inf is NaN
     except OverflowError:
         _fail("is an integer beyond the range of a float")
 
@@ -166,11 +166,18 @@ def _error(exc: _Wrong, where: str) -> MalformedInputError:
     return MalformedInputError(f"{where}: {field} {problem}")
 
 
+def _no_constant(token: str):
+    raise ValueError(f"{token} is no JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_no_constant)  # json.loads would build one per call
+
+
 def parse(raw: bytes, where: str) -> dict:
     """UTF-8 JSON bytes whose root is an object, read at ``where``."""
     try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = _DECODER.decode(raw.decode("utf-8"))
+    except ValueError as exc:  # a decode error, a syntax error or a constant
         raise MalformedInputError(f"{where} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedInputError(f"{where} root must be a JSON object")
@@ -213,6 +220,14 @@ def encode(record, head: dict) -> dict:
     return doc
 
 
+def dumps(doc, *, ascii: bool, indent: int | None) -> str:
+    """``doc`` as JSON text, escaped to ASCII if ``ascii``; NaN or ±inf raises."""
+    try:
+        return json.dumps(doc, ensure_ascii=ascii, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise MalformedInputError(f"cannot write JSON: {exc}") from None
+
+
 def line(record, head: dict) -> str:
     """``record`` as one line of an LDJSON file."""
-    return json.dumps(encode(record, head), ensure_ascii=False, sort_keys=True)
+    return dumps(encode(record, head), ascii=False, indent=None)

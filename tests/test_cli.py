@@ -6,14 +6,16 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import obsdecipher.cli as cli_mod
 from obsdecipher.backends import OfflineChatBackend
+from obsdecipher.classifier import ClassifierModel, save_model
 from obsdecipher.cli import main
 from obsdecipher.dataset import read_manifest, write_manifest
-from obsdecipher.embedding import StubEmbeddingProvider
+from obsdecipher.embedding import DEFAULT_DIM, StubEmbeddingProvider
 
 from conftest import make_run_fixture, train_and_build_kg, write_annotation
 
@@ -420,6 +422,19 @@ class TestModelCommands:
         assert f"ConfigError: {message}" in result.output
         assert embedded == []
 
+
+    def test_an_overflowing_distance_is_refused_not_printed(self, runner, tmp_path):
+        # a finite model whose distances to a unit-norm embedding overflow
+        model = tmp_path / "model.bin"
+        matrix = np.full((2, DEFAULT_DIM), 1e308) * [[1.0], [-1.0]]
+        save_model(ClassifierModel(["人", "手"], matrix, [1, 1], provider_name="stub"), model)
+        image = tmp_path / "glyph.png"
+        image.write_bytes(b"PNGFAKE")
+        result = runner.invoke(main, ["classify", "--model", str(model), "--image", str(image)])
+        assert result.exit_code == 1, result.output
+        assert "MalformedInputError: cannot write JSON" in result.output
+        assert "Infinity" not in result.output
+        assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("command", ["train", "eval-topk"])
     def test_missing_crop_is_an_error_naming_its_path(self, runner, tmp_path, command):

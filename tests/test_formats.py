@@ -109,7 +109,9 @@ def _source(format_name, root):
     }[format_name]
 
 
-OTHER_TYPES = [None, True, 0, 7, -1, 2.5, "", "7", "false", [], [1.5, "a", None], ["x"], {}, {"k": 1}]
+# json.dumps writes the last three as NaN, Infinity and -Infinity, which are no JSON
+OTHER_TYPES = [None, True, 0, 7, -1, 2.5, "", "7", "false", [], [1.5, "a", None], ["x"], {}, {"k": 1},
+               float("nan"), float("inf"), float("-inf")]
 
 
 def _paths(value, prefix=()):
@@ -304,3 +306,28 @@ def test_an_integer_beyond_the_range_of_a_float_is_refused(valid, tmp_path):
     # float() raises OverflowError on it, which no reader caught
     test_a_value_of_the_wrong_json_type_is_refused(
         valid, tmp_path, "manifest", "polygon", [[10**309, 0], [3, 4], [5, 6]])
+
+
+@pytest.mark.parametrize("command", ["stats", "split", "train"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "-1e999"])
+def test_a_non_finite_vertex_is_refused(valid, tmp_path, token, command):
+    # Python's json reads the first three, which are no JSON, and the last as -inf
+    lines = (valid / "corpus.ldjson").read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "component")
+    doc = json.loads(lines[at])
+    doc["polygon"][0] = ["vertex", 1]
+    lines[at] = json.dumps(doc, ensure_ascii=False).replace('"vertex"', token)
+    path = tmp_path / "corpus.ldjson"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = {
+        "stats": ["stats", "--manifest", path],
+        "split": ["split", "--manifest", path, "--out-train", tmp_path / "train.ldjson",
+                  "--out-test", tmp_path / "test.ldjson"],
+        "train": ["train", "--manifest", path, "--out", tmp_path / "model.bin",
+                  "--image-root", valid],
+    }[command]
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1, result.output
+    assert f"MalformedInputError: {path}:{at + 1}" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "train.ldjson").exists()

@@ -186,6 +186,49 @@ def test_private_read_checker_exempts_only_self_and_cls():
     assert _foreign_private_reads(tree) == ["model._c (line 3)", "f()._d (line 6)"]
 
 
+def _json_imports(tree: ast.Module) -> list[int]:
+    """The lines that import ``json`` or one of its modules."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "json"
+    )
+
+
+def _json_calls(tree: ast.Module) -> list[str]:
+    return sorted(
+        ast.unparse(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("json.")
+    )
+
+
+def test_json_text_goes_through_records():
+    """One module turns JSON documents into text and back: every writer,
+    hash and reader goes through ``records``, whose one ``json.dumps`` and
+    one decoder refuse NaN and the infinities."""
+    found = sorted(
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "records.py"
+        for line in _json_imports(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert not found, f"json imported outside records: {found}"
+    records = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
+    assert _json_calls(records) == ["json.JSONDecoder", "json.dumps"]
+
+
+def test_json_import_checker_sees_each_form():
+    tree = ast.parse(
+        "import json\nimport os, json.decoder\nfrom json import dumps\nfrom .json import x\n"
+        "import jsonschema\ndef f():\n    import json as j\n    return json.loads(j.dumps(1))\n"
+    )
+    assert _json_imports(tree) == [1, 2, 3, 7]
+    assert _json_calls(tree) == ["json.loads"]
+
+
 SETTABLE_VALUES_CAP = 114
 
 

@@ -224,6 +224,19 @@ class TestPersistence:
         assert structurally_equal(old, built)
         assert_same_lookups(old, built, corpus)
 
+    def test_meta_line_keeps_its_ascii_escape(self, tmp_path):
+        # the checksum covers the file's bytes, so escaping the meta line
+        # differently would change every graph file over a non-ASCII split
+        corpus = one_char_corpus()
+        graph = build_graph(corpus, fixture_explanations(corpus), source_split="训练.ldjson")
+        path = tmp_path / "g.ldjson"
+        save_graph(graph, path)
+        raw = path.read_bytes()
+        assert raw.splitlines()[0] == rb'{"source_split": "\u8bad\u7ec3.ldjson", "t": "meta"}'
+        assert hashlib.sha256(raw).hexdigest() == (
+            "baef5a034ab3a332a1dfb288b389087ad36ede4bcc264d5112e70b67d7a19da5"
+        )
+
     def test_truncated_file(self, tmp_path, fixture_graph):
         path = tmp_path / "g.ldjson"
         save_graph(fixture_graph, path)

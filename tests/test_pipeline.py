@@ -11,7 +11,7 @@ import pytest
 from obsdecipher import records
 from obsdecipher.backends import OfflineChatBackend
 from obsdecipher.classifier import ClassifierModel, build_prototypes
-from obsdecipher.embedding import StubEmbeddingProvider
+from obsdecipher.embedding import EmbeddingVector, StubEmbeddingProvider
 from obsdecipher.kg import build_graph
 from obsdecipher.pipeline import PipelineBackends, PipelineConfig, _model_fingerprint, run_pipeline
 from obsdecipher.retrieval import EvidenceBundle
@@ -111,6 +111,39 @@ def test_the_evidence_file_has_one_line_per_result_in_corpus_order(tmp_path, con
     )
 
 
+class Overflowing(StubEmbeddingProvider):
+    """Scales the embedding of each image in ``huge`` to about 1e308: a
+    finite vector whose distance to every prototype overflows to infinity."""
+
+    def __init__(self, huge: set):
+        super().__init__(dim=32)
+        self.huge = huge
+
+    def embed_image(self, image):
+        vec = super().embed_image(image)
+        return EmbeddingVector(vec.values * 1e308) if image in self.huge else vec
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_a_distance_json_cannot_hold_fails_only_its_character(tmp_path, concurrency):
+    corpus, _, _ = make_run_fixture(tmp_path, n_characters=5)
+    huge = {corpus.characters[i] for i in (1, 3)}
+    provider = Overflowing({(tmp_path / c.image_ref).read_bytes() for c in huge})
+    model, graph = model_and_graph(corpus, provider)
+    out = tmp_path / "out"
+    results, failures, manifest = run_pipeline(
+        corpus, provider, model, graph, PipelineBackends.offline(),
+        PipelineConfig(concurrency=concurrency), image_root=tmp_path, out_dir=out,
+    )
+    assert sorted(f.character_id for f in failures) == sorted(c.character_id for c in huge)
+    assert all(f.error.startswith("MalformedInputError: cannot write JSON") for f in failures)
+    ok = [c.character_id for c in corpus.characters if c not in huge]
+    assert [r.character_ref for r in results] == ok
+    assert json.loads((out / "run_manifest.json").read_text(encoding="utf-8")) == manifest
+    lines = (out / "evidence.ldjson").read_bytes().splitlines()
+    assert [records.parse(line, "evidence")["character_ref"] for line in lines] == ok
+
+
 class Halt(BaseException):
     """Not an ``Exception``, as ``KeyboardInterrupt`` is not."""
 
@@ -148,3 +181,11 @@ def test_model_fingerprint_hashes_the_same_bytes_as_one_json_document(rows):
         ).encode("utf-8")
     ).hexdigest()
     assert _model_fingerprint(model) == reference
+
+
+def test_model_fingerprint_keeps_its_ascii_escape():
+    # escaping the labels differently would move every model_hash over zh labels
+    model = ClassifierModel(["人", "手"], np.arange(6.0).reshape(2, 3), [1, 2], provider_name="stub")
+    assert _model_fingerprint(model) == (
+        "3bb8f2be1be28844f19158fcb961192c70096fe1f71b4028dbb53a2142b2442c"
+    )
